@@ -51,10 +51,6 @@ class NetworkParams:
     biases_dec: list  # biases_dec[l] has length layer_dims[l]
     activation: str = "tanh"
 
-    def decoder_weight(self, l):
-        """Transpose view of encoder weight l (shared storage)."""
-        return self.weights[l].T
-
     def n_params(self):
         return sum(w.size for w in self.weights) + sum(
             b.size for b in self.biases_enc
@@ -86,14 +82,6 @@ class Gradients:
             biases_enc=[np.zeros_like(b) for b in params.biases_enc],
             biases_dec=[np.zeros_like(b) for b in params.biases_dec],
         )
-
-    def scaled_add(self, other: "Gradients", scale=1.0):
-        for a, b in zip(self.weights, other.weights):
-            a += scale * b
-        for a, b in zip(self.biases_enc, other.biases_enc):
-            a += scale * b
-        for a, b in zip(self.biases_dec, other.biases_dec):
-            a += scale * b
 
 
 def init_params(layer_dims, activation="tanh", seed=42) -> NetworkParams:

@@ -32,36 +32,24 @@ def _fail(exc):
     sys.exit(1)
 
 
-def _load_features_json(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _read_json(path, what):
+    return {} if path is None else data_mod.read_json(path, what)
 
 
-def _load_dataset(csv_path, features_json=None, label_column=None):
-    spec = _load_features_json(features_json)
-    label = label_column or spec.get("label_column")
+def _load_dataset(csv_path, features_json=None, label_column=None, columns=None):
+    """Read the CSV once. --features keys take precedence over columns
+    (the checkpoint's, when scoring); --labels over its label_column."""
+    spec = _read_json(features_json, "--features")
     dataset, dropped = data_mod.load_csv(
         csv_path,
-        label_column=label,
-        columns=spec.get("columns"),
+        label_column=label_column or spec.get("label_column"),
+        columns=spec.get("columns") or columns,
         normal_values=tuple(spec.get("normal_values",
                                      data_mod.DEFAULT_NORMAL_VALUES)),
     )
     if dropped:
         click.echo(f"dropped {dropped} unparseable/non-finite rows", err=True)
     return dataset
-
-
-def _config_from_json(path, seed):
-    doc = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    weights = train_mod.LossWeights(**doc.pop("weights", {}))
-    doc.setdefault("seed", seed)
-    return train_mod.TrainConfig(weights=weights, **doc)
 
 
 @click.group()
@@ -80,7 +68,8 @@ def cli_train(data_path, features_json, config_json, out_path, seed):
     """Train on normal data and write a JSON checkpoint."""
     try:
         dataset = _load_dataset(data_path, features_json)
-        config = _config_from_json(config_json, seed)
+        doc = {"seed": seed, **_read_json(config_json, "--config")}
+        config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
         if dataset.labels is not None:
             keep = np.nonzero(dataset.labels == 0)[0]
             click.echo(f"training on {keep.size} normal rows "
@@ -90,39 +79,19 @@ def cli_train(data_path, features_json, config_json, out_path, seed):
         filtered, dropped, widened = data_mod.skew_filter(dataset)
         note = " (cutoff widened to the 10% cap)" if widened else ""
         click.echo(f"skew filter dropped {dropped} rows{note}", err=True)
-        record = data_mod.fit_minmax(filtered)
-        normalized = data_mod.apply_minmax(filtered, record)
-        model = train_mod.fit(normalized, config)
-        doc = train_mod.model_to_dict(model)
-        doc["normalization"] = record
-        doc["feature_names"] = list(filtered.feature_names)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        normalized = data_mod.apply_minmax(filtered, data_mod.fit_minmax(filtered))
+        train_mod.save_checkpoint(train_mod.fit(normalized, config), out_path)
         click.echo(f"wrote {out_path}")
     except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
         _fail(exc)
 
 
-def _load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = train_mod.model_from_dict(doc)
-    return model, doc.get("normalization"), doc.get("feature_names")
-
-
-def _prepare_scoring_data(model_doc_norm, feature_names, data_path,
-                          features_json, label_column=None):
-    spec = _load_features_json(features_json)
-    columns = spec.get("columns") or feature_names
-    dataset = _load_dataset(data_path, features_json, label_column=label_column)
-    if columns and dataset.feature_names != list(columns):
-        dataset, _ = data_mod.load_csv(
-            data_path, label_column=label_column or spec.get("label_column"),
-            columns=columns)
-    if model_doc_norm is not None:
-        dataset = data_mod.apply_minmax(
-            dataset, [tuple(r) for r in model_doc_norm])
+def _prepare_scoring_data(model, data_path, features_json, label_column=None):
+    """The CSV's checkpoint columns, normalized with the training record."""
+    dataset = _load_dataset(data_path, features_json, label_column=label_column,
+                            columns=model.feature_names)
+    if model.normalization is not None:
+        dataset = data_mod.apply_minmax(dataset, model.normalization)
     return dataset
 
 
@@ -136,8 +105,8 @@ def _prepare_scoring_data(model_doc_norm, feature_names, data_path,
 def cli_score(model_path, data_path, features_json, mode, out_prefix):
     """Score data against a checkpoint; write trace and report files."""
     try:
-        model, norm, names = _load_model(model_path)
-        dataset = _prepare_scoring_data(norm, names, data_path, features_json)
+        model = train_mod.load_checkpoint(model_path)
+        dataset = _prepare_scoring_data(model, data_path, features_json)
         scores = detect.score(model, dataset, mode=mode)
         center = model.train_score_medians.get(mode, float(np.median(scores)))
         report = detect.ScoreReport(
@@ -168,8 +137,8 @@ def cli_eval(model_path, data_path, features_json, label_column, mode, band,
              out_prefix):
     """Band-classify labeled data and report metrics."""
     try:
-        model, norm, names = _load_model(model_path)
-        dataset = _prepare_scoring_data(norm, names, data_path, features_json,
+        model = train_mod.load_checkpoint(model_path)
+        dataset = _prepare_scoring_data(model, data_path, features_json,
                                         label_column=label_column)
         if dataset.labels is None:
             raise ParameterError(f"label column {label_column!r} not found")
@@ -236,12 +205,8 @@ def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
 def cli_synth(spec_json, seed, out_path):
     """Generate the synthetic near/far benchmark as CSV."""
     try:
-        doc = {}
-        if spec_json is not None:
-            with open(spec_json, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        doc.setdefault("seed", seed)
-        spec = data_mod.SynthSpec(**doc)
+        doc = {"seed": seed, **_read_json(spec_json, "--spec")}
+        spec = data_mod.dataclass_from_dict(data_mod.SynthSpec, doc, "--spec")
         dataset = data_mod.synth_generate(spec)
         data_mod.save_csv(dataset, out_path)
         click.echo(f"wrote {out_path} ({dataset.n_rows} rows)")

@@ -1,15 +1,17 @@
-"""Dataset ingestion, normalization, skew filtering, splits, and the
-synthetic near/far anomaly generator.
+"""Dataset and JSON-input ingestion, normalization, skew filtering, splits,
+and the synthetic near/far anomaly generator.
 
 CSV handling is deliberately strict: header required, selected columns must
-parse as floats, rows with non-finite values are dropped (and counted), and
-row order is preserved so score traces line up with source rows.
+parse as floats, rows that are too short or hold non-finite values are
+dropped (and counted), and row order is preserved so score traces line up
+with source rows.
 """
 from __future__ import annotations
 
 import csv
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -61,9 +63,10 @@ def load_csv(path, label_column=None, columns=None,
              normal_values=DEFAULT_NORMAL_VALUES):
     """Read a headered CSV into a raw (unnormalized) FeatureMatrix.
 
-    Rows with unparseable or non-finite selected values are dropped; the
-    drop count is returned alongside. Label values in normal_values map to
-    0, everything else to 1.
+    Rows that end before a selected column or the label, or whose selected
+    values are unparseable or non-finite, are dropped; the drop count is
+    returned alongside. Label values in normal_values map to 0, everything
+    else to 1.
 
     Returns (FeatureMatrix, dropped_count).
     """
@@ -96,6 +99,7 @@ def load_csv(path, label_column=None, columns=None,
                 continue
             try:
                 vals = [float(raw[i]) for i in feat_idx]
+                label = None if label_idx is None else raw[label_idx].strip()
             except (ValueError, IndexError):
                 dropped += 1
                 continue
@@ -104,7 +108,7 @@ def load_csv(path, label_column=None, columns=None,
                 continue
             rows.append(vals)
             if label_idx is not None:
-                labels.append(0 if raw[label_idx].strip() in normal_set else 1)
+                labels.append(0 if label in normal_set else 1)
     if not rows:
         raise DataError(f"{path}: no usable rows")
     return FeatureMatrix(
@@ -134,6 +138,41 @@ def save_csv(data: FeatureMatrix, path, label_column="label"):
             writer.writerow(row)
 
 
+def read_json(path, what):
+    """Parse a JSON file that must hold one object (config, spec, feature
+    selection, checkpoint). An unreadable file is a DataError; malformed
+    JSON or a non-object is a ParameterError. what names the input in
+    messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{what}: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"{what}: {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{what}: {path} must hold a JSON object")
+    return doc
+
+
+def dataclass_from_dict(cls, doc, what):
+    """cls(**doc) from a JSON object. A field whose default is a dataclass
+    (TrainConfig.weights) is built from its own nested object. A key cls
+    does not have is a ParameterError; what names the input in messages."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ParameterError(f"{what}: unknown keys {unknown}")
+    kwargs = dict(doc)
+    for name, value in doc.items():
+        if is_dataclass(known[name].default_factory):
+            kwargs[name] = dataclass_from_dict(known[name].default_factory, value,
+                                               f"{what} {name}")
+    return cls(**kwargs)
+
+
 def fit_minmax(train: FeatureMatrix):
     """Per-feature (min, max) record from training data."""
     if train.n_rows == 0:
@@ -143,11 +182,11 @@ def fit_minmax(train: FeatureMatrix):
     return [(float(a), float(b)) for a, b in zip(lo, hi)]
 
 
-def apply_minmax(data: FeatureMatrix, record, clamp=False) -> FeatureMatrix:
+def apply_minmax(data: FeatureMatrix, record) -> FeatureMatrix:
     """(x - min) / (max - min) with the TRAINING record.
 
     Constant training features map to 0. Test values outside the training
-    range extrapolate beyond [0, 1] unless clamp is set.
+    range extrapolate beyond [0, 1].
     """
     if len(record) != data.n_features:
         raise ParameterError(
@@ -159,8 +198,6 @@ def apply_minmax(data: FeatureMatrix, record, clamp=False) -> FeatureMatrix:
     out = np.zeros_like(data.features)
     nonconst = span > 0
     out[:, nonconst] = (data.features[:, nonconst] - lo[nonconst]) / span[nonconst]
-    if clamp:
-        out = np.clip(out, 0.0, 1.0)
     return FeatureMatrix(features=out, labels=data.labels,
                          feature_names=list(data.feature_names),
                          normalization=list(record), tags=data.tags)

@@ -77,14 +77,6 @@ def renyi2_sample(samples, sigma) -> EntropyValue:
     return EntropyValue(value=-math.log(ip), basis="natural", kind="sample")
 
 
-def joint_entropy_sample(x, z, sigma) -> EntropyValue:
-    """-log of the cross information potential between two equal-width sets."""
-    cip = cross_information_potential(x, z, sigma)
-    if cip <= 0:
-        raise DegeneracyError("cross information potential vanished")
-    return EntropyValue(value=-math.log(cip), basis="natural", kind="sample")
-
-
 def renyi2_matrix(g: NormalizedGram) -> EntropyValue:
     """-log2 tr(mat^2), computed as the squared Frobenius sum."""
     s = float(np.sum(g.mat * g.mat))
@@ -141,13 +133,3 @@ def mi_additive(hx: EntropyValue, hz: EntropyValue, hxz: EntropyValue) -> MiValu
             raise ParameterError(f"{name} must be a matrix-kind log2 entropy")
     return MiValue(value=hx.value + hz.value - hxz.value,
                    components=(hx.value, hz.value, hxz.value))
-
-
-def total_correlation(m, sigma):
-    """Sum of per-column entropies minus the joint entropy (sample-based)."""
-    m = _check_samples(m, "samples")
-    marginals = sum(
-        renyi2_sample(m[:, j:j + 1], sigma).value for j in range(m.shape[1])
-    )
-    joint = renyi2_sample(m, sigma).value
-    return marginals - joint

@@ -2,8 +2,7 @@
 Mahalanobis distances over latent batches.
 
 The robust correlation matrix deliberately keeps its natural diagonal
-(about 2.2 for Gaussian columns) instead of rescaling to 1; set
-normalize_diagonal=True to get the unit-diagonal variant for ablations.
+(about 2.2 for Gaussian columns) instead of rescaling to 1.
 """
 from __future__ import annotations
 
@@ -55,13 +54,12 @@ def mad(values, floor=MAD_FLOOR):
     return max(raw, floor)
 
 
-def robust_correlation(latents, ridge_epsilon=RIDGE_EPSILON,
-                       normalize_diagonal=False) -> RobustLatentStats:
+def robust_correlation(latents, ridge_epsilon=RIDGE_EPSILON) -> RobustLatentStats:
     """Median/MAD stats and the robust correlation matrix of a latent batch.
 
     corr[i, j] = mean_n[(Z[n,i] - med_i) * (Z[n,j] - med_j)] / (MAD_i * MAD_j)
     with the plain 1/N batch mean. The diagonal is left as the formula
-    produces unless normalize_diagonal is set.
+    produces.
     """
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2:
@@ -74,10 +72,6 @@ def robust_correlation(latents, ridge_epsilon=RIDGE_EPSILON,
     centered = z - medians
     corr = (centered.T @ centered) / n / np.outer(mads, mads)
     corr = 0.5 * (corr + corr.T)
-    if normalize_diagonal:
-        d = np.sqrt(np.abs(np.diag(corr)))
-        d = np.maximum(d, MAD_FLOOR)
-        corr = corr / np.outer(d, d)
     corr_inv = ridge_inverse(corr, ridge_epsilon)
     return RobustLatentStats(medians=medians, mads=mads, corr=corr, corr_inv=corr_inv)
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import autoenc, itl, ndmath, robust
+from . import autoenc, data, itl, ndmath, robust
 from .autoenc import Gradients, NetworkParams
 from .errors import DegeneracyError, ParameterError, TrainingError
 
@@ -87,6 +87,10 @@ class TrainedModel:
     config: TrainConfig
     loss_history: list
     train_score_medians: dict  # per scoring mode
+    # per-feature (min, max) the training data was normalized with, and the
+    # training column names: scoring applies both to raw CSV rows
+    normalization: list | None = None
+    feature_names: list | None = None
 
     def encode(self, features):
         return autoenc.forward(self.params, features).latent
@@ -211,26 +215,6 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
                          mi_term=mi_term, total=total), grads
 
 
-def mean_abs_dev(values):
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ParameterError("mean_abs_dev of empty input")
-    return float(np.mean(np.abs(v - v.mean())))
-
-
-def auto_weights(validation_md, validation_recon, gamma=1.0) -> LossWeights:
-    """Reciprocal-mean-absolute-deviation weighting, normalized to sum 1.
-
-    Falls back to the (0.95, 0.05) defaults when either deviation vanishes.
-    """
-    dev_md = mean_abs_dev(validation_md)
-    dev_recon = mean_abs_dev(validation_recon)
-    if dev_md <= 0 or dev_recon <= 0:
-        return LossWeights(alpha=0.95, beta=0.05, gamma=gamma)
-    a, b = 1.0 / dev_md, 1.0 / dev_recon
-    return LossWeights(alpha=a / (a + b), beta=b / (a + b), gamma=gamma)
-
-
 @dataclass
 class AdamState:
     m: Gradients
@@ -271,11 +255,11 @@ def adam_step(params: NetworkParams, grads: Gradients, state: AdamState,
 
 
 def _freeze(params, features, config):
-    z = autoenc.forward(params, features).latent
+    trace = autoenc.forward(params, features)
+    z = trace.latent
     stats = robust.robust_correlation(z, ridge_epsilon=config.ridge_epsilon)
     cstats = robust.classical_stats(z, ridge_epsilon=config.ridge_epsilon)
-    recon = autoenc.forward(params, features).reconstruction
-    resid = recon - features
+    resid = trace.reconstruction - features
     medians = {
         "robust_md": float(np.median(robust.robust_md(z, stats))),
         "classical_md": float(np.median(robust.classical_md(z, cstats))),
@@ -286,7 +270,11 @@ def _freeze(params, features, config):
 
 def fit(train_data, config: TrainConfig) -> TrainedModel:
     """Train on (assumed normal) data, then freeze scoring statistics from
-    one final full-set encoding pass."""
+    one final full-set encoding pass.
+
+    A FeatureMatrix input passes its normalization record and feature
+    names on to the model.
+    """
     config.validate()
     features = np.asarray(
         getattr(train_data, "features", train_data), dtype=np.float64
@@ -300,16 +288,17 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
                                  activation=config.activation, seed=config.seed)
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
+    ends = list(range(config.batch_size, n, config.batch_size)) + [n]
+    if len(ends) > 1 and n - ends[-2] < max(2, config.batch_size // 2):
+        # robust stats of a few rows are rank-deficient and blow up the loss
+        del ends[-2]  # so a short tail joins the previous batch
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         sums = np.zeros(4)
         n_batches = 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            if idx.size < 2:
-                continue  # robust stats need at least two rows
-            batch = features[idx]
+        for start, end in zip([0] + ends[:-1], ends):
+            batch = features[order[start:end]]
             try:
                 breakdown, grads = joint_loss(params, batch, config)
                 params, state = adam_step(params, grads, state, config)
@@ -320,12 +309,13 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
             sums += (breakdown.md_term, breakdown.recon_term,
                      breakdown.mi_term, breakdown.total)
             n_batches += 1
-        if n_batches:
-            history.append(LossBreakdown(*(sums / n_batches)))
+        history.append(LossBreakdown(*(sums / n_batches)))
     stats, cstats, medians = _freeze(params, features, config)
     return TrainedModel(params=params, robust_stats=stats, classical_stats=cstats,
                         config=config, loss_history=history,
-                        train_score_medians=medians)
+                        train_score_medians=medians,
+                        normalization=getattr(train_data, "normalization", None),
+                        feature_names=getattr(train_data, "feature_names", None) or None)
 
 
 def grid_search(train_data, validation_data, sigma_grid, weight_grid,
@@ -354,10 +344,7 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
         for weights in weight_grid:
             if not isinstance(weights, LossWeights):
                 weights = LossWeights(*weights)
-            cfg_doc = asdict(base)
-            cfg_doc.update(sigma=float(sigma), epochs=epochs)
-            cfg_doc.pop("weights")
-            cfg = TrainConfig(weights=weights, **cfg_doc)
+            cfg = replace(base, sigma=float(sigma), epochs=epochs, weights=weights)
             model = fit(train_data, cfg)
             scores = detect.score(model, val_features, mode="robust_md")
             if labels is not None and len(np.unique(labels)) > 1:
@@ -405,6 +392,8 @@ def model_to_dict(model: TrainedModel) -> dict:
         "train_config": cfg,
         "loss_history": [asdict(h) for h in model.loss_history],
         "train_score_medians": dict(model.train_score_medians),
+        "normalization": model.normalization,
+        "feature_names": model.feature_names,
     }
 
 
@@ -415,36 +404,42 @@ def save_checkpoint(model: TrainedModel, path):
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ParameterError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r}"
+    """Inverse of model_to_dict; a malformed document is a ParameterError."""
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise ParameterError(f"unsupported checkpoint format_version {version!r}")
+    try:
+        params = NetworkParams(
+            layer_dims=[int(d) for d in doc["layer_dims"]],
+            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
+            biases_enc=[np.asarray(b, dtype=np.float64) for b in doc["biases_enc"]],
+            biases_dec=[np.asarray(b, dtype=np.float64) for b in doc["biases_dec"]],
+            activation=doc["activation"],
         )
-    params = NetworkParams(
-        layer_dims=[int(d) for d in doc["layer_dims"]],
-        weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-        biases_enc=[np.asarray(b, dtype=np.float64) for b in doc["biases_enc"]],
-        biases_dec=[np.asarray(b, dtype=np.float64) for b in doc["biases_dec"]],
-        activation=doc["activation"],
-    )
-    rs = doc["robust_stats"]
-    stats = robust.RobustLatentStats(
-        medians=np.asarray(rs["medians"]), mads=np.asarray(rs["mads"]),
-        corr=np.asarray(rs["corr"]), corr_inv=np.asarray(rs["corr_inv"]),
-    )
-    cs = doc["classical_stats"]
-    cstats = robust.ClassicalStats(
-        means=np.asarray(cs["means"]), cov=np.asarray(cs["cov"]),
-        cov_inv=np.asarray(cs["cov_inv"]),
-    )
-    cfg_doc = dict(doc["train_config"])
-    cfg_doc["weights"] = LossWeights(**cfg_doc["weights"])
-    config = TrainConfig(**cfg_doc)
-    history = [LossBreakdown(**h) for h in doc["loss_history"]]
-    return TrainedModel(params=params, robust_stats=stats, classical_stats=cstats,
-                        config=config, loss_history=history,
-                        train_score_medians=dict(doc["train_score_medians"]))
+        rs = doc["robust_stats"]
+        stats = robust.RobustLatentStats(
+            medians=np.asarray(rs["medians"]), mads=np.asarray(rs["mads"]),
+            corr=np.asarray(rs["corr"]), corr_inv=np.asarray(rs["corr_inv"]),
+        )
+        cs = doc["classical_stats"]
+        cstats = robust.ClassicalStats(
+            means=np.asarray(cs["means"]), cov=np.asarray(cs["cov"]),
+            cov_inv=np.asarray(cs["cov_inv"]),
+        )
+        config = data.dataclass_from_dict(TrainConfig, doc["train_config"],
+                                          "checkpoint train_config")
+        history = [LossBreakdown(**h) for h in doc["loss_history"]]
+        norm = doc.get("normalization")
+        return TrainedModel(
+            params=params, robust_stats=stats, classical_stats=cstats,
+            config=config, loss_history=history,
+            train_score_medians=dict(doc["train_score_medians"]),
+            normalization=None if norm is None else [tuple(r) for r in norm],
+            feature_names=doc.get("feature_names"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
 
 
 def load_checkpoint(path) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(data.read_json(path, "checkpoint"))

@@ -15,10 +15,10 @@ def test_init_params_deterministic():
 def test_init_params_shapes_and_tie():
     p = autoenc.init_params([4, 2], seed=0)
     assert p.weights[0].shape == (2, 4)
-    assert p.decoder_weight(0).shape == (4, 2)
-    # transpose view shares storage: mutating one mutates the other
+    assert p.weights[0].T.shape == (4, 2)
+    # the decoder's transpose view shares storage: mutating one mutates the other
     p.weights[0][0, 0] = 99.0
-    assert p.decoder_weight(0)[0, 0] == 99.0
+    assert p.weights[0].T[0, 0] == 99.0
 
 
 def test_init_params_rejects_single_width():
@@ -141,11 +141,3 @@ def test_backward_tied_weight_sum_rule():
     enc_term = ((delta @ p.weights[0].T) * slope).T @ x
     assert np.allclose(grads.weights[0], dec_term + enc_term, atol=1e-12)
 
-
-def test_gradients_scaled_add():
-    p = autoenc.init_params([3, 2], seed=8)
-    a = autoenc.Gradients.zeros_like(p)
-    b = autoenc.Gradients.zeros_like(p)
-    b.weights[0][:] = 1.0
-    a.scaled_add(b, scale=0.5)
-    assert np.all(a.weights[0] == 0.5)

@@ -145,3 +145,51 @@ def test_score_corrupt_checkpoint_exits_2(runner, synth_csv, tmp_path):
         "--out", str(tmp_path / "s"),
     ])
     assert result.exit_code == 2
+
+
+def test_score_without_features_ignores_text_label(runner, trained_checkpoint,
+                                                    synth_csv, tmp_path):
+    # the checkpoint's feature names pick the columns, so a text label
+    # column is never parsed as a feature
+    lines = synth_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    at = header.index("label")
+    text_csv = tmp_path / "text_labels.csv"
+    rows = [lines[0]]
+    for line in lines[1:]:
+        cells = line.split(",")
+        cells[at] = "Benign" if cells[at] == "0" else "Attack"
+        rows.append(",".join(cells))
+    text_csv.write_text("\n".join(rows) + "\n")
+    result = runner.invoke(main, [
+        "score", "--model", str(trained_checkpoint), "--data", str(text_csv),
+        "--out", str(tmp_path / "t"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "t.report.json").read_text())["n_samples"] == 380
+
+
+@pytest.mark.parametrize("command, flag, content, code", [
+    ("train", "--config", '{"epoch": 2}', 2),
+    ("train", "--config", '{"weights": {"delta": 1.0}}', 2),
+    ("train", "--config", "[2]", 2),
+    ("train", "--config", '{"epochs": ', 2),
+    ("score", "--model", '{"format_version": ', 2),
+    ("score", "--model", '{"format_version": 1}', 2),
+    ("synth", "--spec", '{"n_rows": 10}', 2),
+    ("score", "--model", None, 3),
+    ("train", "--features", None, 3),
+])
+def test_bad_json_input_exit_codes(runner, synth_csv, tmp_path, command, flag,
+                                   content, code):
+    path = tmp_path / "input.json"  # content None: the file does not exist
+    if content is not None:
+        path.write_text(content)
+    args = {
+        "train": ["train", "--data", str(synth_csv), "--out", str(tmp_path / "m.json")],
+        "score": ["score", "--data", str(synth_csv), "--out", str(tmp_path / "s")],
+        "synth": ["synth", "--out", str(tmp_path / "g.csv")],
+    }[command] + [flag, str(path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert result.output.startswith("error: ")

@@ -31,6 +31,15 @@ def test_load_csv_drops_unparseable_row(tmp_path):
     assert dropped == 1
 
 
+def test_load_csv_drops_row_ending_before_label(tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_text("a,b,label\n1,2,0\n3,4\n5,6,1\n")
+    fm, dropped = data.load_csv(p, label_column="label")
+    assert fm.features.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+    assert fm.labels.tolist() == [0, 1]
+    assert dropped == 1
+
+
 def test_load_csv_label_mapping(tmp_path):
     p = tmp_path / "in.csv"
     p.write_text("a,label\n1,BENIGN\n2,DDoS\n3,normal\n")
@@ -84,7 +93,7 @@ def test_apply_minmax_uses_training_record():
     record = data.fit_minmax(train)
     test = data.FeatureMatrix(features=np.array([[5.0], [20.0]]))
     out = data.apply_minmax(test, record)
-    assert np.allclose(out.features.ravel(), [0.5, 2.0])  # unclamped by default
+    assert np.allclose(out.features.ravel(), [0.5, 2.0])  # out-of-range values extrapolate
 
 
 def test_apply_minmax_record_mismatch():

@@ -35,31 +35,6 @@ def test_renyi2_sample_rejects_bad_sigma():
         itl.renyi2_sample([[0.0]], sigma=-1.0)
 
 
-def test_joint_entropy_sample_identical_sets():
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(8, 2))
-    hx = itl.renyi2_sample(x, 0.5)
-    hxx = itl.joint_entropy_sample(x, x, 0.5)
-    assert hxx.value == pytest.approx(hx.value, abs=1e-12)
-
-
-def test_joint_entropy_sample_zero_distance_pair():
-    h = itl.joint_entropy_sample([[0.0]], [[0.0]], sigma=1.0)
-    assert h.value == pytest.approx(1.26551, abs=1e-5)
-
-
-def test_joint_entropy_sample_grows_with_separation():
-    x = np.zeros((4, 1))
-    near = itl.joint_entropy_sample(x, x + 1.0, 0.5).value
-    far = itl.joint_entropy_sample(x, x + 10.0, 0.5).value
-    assert far > near
-
-
-def test_joint_entropy_sample_dim_mismatch():
-    with pytest.raises(ParameterError):
-        itl.joint_entropy_sample(np.zeros((3, 2)), np.zeros((3, 3)), 0.5)
-
-
 def test_renyi2_matrix_single_sample():
     assert itl.renyi2_matrix(NormalizedGram(mat=np.array([[1.0]]))).value == 0.0
 
@@ -142,6 +117,11 @@ def test_cs_divergence_large_for_distant_sets():
     assert itl.cs_divergence_sample(x, x + 10.0, 0.5) > 10.0
 
 
+def test_cs_divergence_dim_mismatch():
+    with pytest.raises(ParameterError):
+        itl.cs_divergence_sample(np.zeros((3, 2)), np.zeros((3, 3)), 0.5)
+
+
 def test_mi_cs_equal_entropies():
     h = itl.EntropyValue(value=1.7, basis="log2", kind="matrix")
     assert itl.mi_cs(h, h, h).value == pytest.approx(0.0)
@@ -173,38 +153,6 @@ def test_mi_additive_hand_case():
     def ev(v):
         return itl.EntropyValue(value=v, basis="log2", kind="matrix")
     assert itl.mi_additive(ev(2.0), ev(1.5), ev(2.5)).value == pytest.approx(1.0)
-
-
-def test_total_correlation_single_column():
-    rng = np.random.default_rng(21)
-    assert itl.total_correlation(rng.normal(size=(12, 1)), 0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_total_correlation_duplicated_column_positive():
-    rng = np.random.default_rng(22)
-    col = rng.normal(size=(30, 1))
-    assert itl.total_correlation(np.hstack([col, col]), 0.5) > 0.0
-
-
-def test_total_correlation_matches_brute_force():
-    # N=2 hand case: direct evaluation of the information-potential sums.
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sigma = 0.7
-
-    def ip(samples):
-        samples = np.atleast_2d(samples)
-        n, d = samples.shape
-        const = (4 * math.pi * sigma ** 2) ** (-d / 2)
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                sq = float(np.sum((samples[i] - samples[j]) ** 2))
-                total += const * math.exp(-sq / (4 * sigma ** 2))
-        return total / n ** 2
-
-    expected = (-math.log(ip(m[:, :1])) - math.log(ip(m[:, 1:]))
-                + math.log(ip(m)))
-    assert itl.total_correlation(m, sigma) == pytest.approx(expected, abs=1e-12)
 
 
 def test_estimators_permutation_invariant():

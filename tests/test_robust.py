@@ -47,13 +47,6 @@ def test_robust_correlation_gaussian_diagonal():
     assert stats.corr[0, 0] == pytest.approx(2.198, abs=0.05)
 
 
-def test_robust_correlation_normalize_diagonal_flag():
-    rng = np.random.default_rng(7)
-    z = rng.standard_normal((5000, 3))
-    stats = robust.robust_correlation(z, normalize_diagonal=True)
-    assert np.allclose(np.diag(stats.corr), 1.0, atol=1e-12)
-
-
 def test_robust_correlation_symmetry_and_inverse():
     rng = np.random.default_rng(8)
     z = rng.standard_normal((400, 4)) @ rng.normal(size=(4, 4))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from drmdit import autoenc, ndmath, robust, train
-from drmdit.errors import DegeneracyError, ParameterError, TrainingError
+from drmdit.data import FeatureMatrix
+from drmdit.errors import DataError, DegeneracyError, ParameterError, TrainingError
 
 
 def _config(**kw):
@@ -122,19 +123,6 @@ def test_joint_loss_full_gradient_finite_difference():
     assert worst < 1e-4
 
 
-def test_auto_weights_constant_fallback():
-    w = train.auto_weights([1.0, 1.0, 1.0], [2.0, 2.0])
-    assert (w.alpha, w.beta) == (0.95, 0.05)
-
-
-def test_auto_weights_reciprocal_deviation():
-    w = train.auto_weights([0.0, 2.0], [0.0, 6.0])
-    # deviations 1 and 3 -> alpha : beta = 1 : 1/3 -> 0.75 / 0.25
-    assert w.alpha == pytest.approx(0.75)
-    assert w.beta == pytest.approx(0.25)
-    assert w.alpha + w.beta == pytest.approx(1.0)
-
-
 def test_adam_first_step_magnitude():
     params = autoenc.init_params([3, 2], seed=3)
     before = [w.copy() for w in params.weights]
@@ -183,6 +171,18 @@ def test_fit_loss_trend_on_gaussian_data():
     assert md[-10:].mean() <= md[:10].mean()
 
 
+def test_fit_folds_short_tail_batch():
+    # 258 rows at batch 256 once trained on a 2-row last batch, whose
+    # rank-deficient robust correlation pushed the epoch-mean MD to ~80
+    def md_history(n):
+        x = np.random.default_rng(40).uniform(size=(n, 6))
+        cfg = train.TrainConfig(sigma=0.5, batch_size=256, epochs=3,
+                                latent_dim=3, seed=1)
+        return [h.md_term for h in train.fit(x, cfg).loss_history]
+
+    assert max(md_history(258)) < 2 * max(md_history(256))
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(36)
     data = rng.normal(size=(120, 4))
@@ -216,7 +216,9 @@ def test_grid_search_empty_grid():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(38)
-    data = rng.normal(size=(100, 4))
+    data = FeatureMatrix(features=rng.normal(size=(100, 4)),
+                         feature_names=["a", "b", "c", "d"],
+                         normalization=[(0.0, 1.0), (-1.0, 2.0), (0.5, 0.5), (3.0, 4.0)])
     cfg = train.TrainConfig(sigma=0.3, batch_size=50, epochs=2,
                             latent_dim=2, seed=11)
     model = train.fit(data, cfg)
@@ -228,6 +230,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(model.robust_stats.corr_inv, loaded.robust_stats.corr_inv)
     assert loaded.config == model.config
     assert loaded.train_score_medians == model.train_score_medians
+    assert loaded.normalization == data.normalization
+    assert loaded.feature_names == data.feature_names
     # scores through the reloaded model match exactly
     x = rng.normal(size=(5, 4))
     assert np.array_equal(model.encode(x), loaded.encode(x))
@@ -247,3 +251,10 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 def test_checkpoint_rejects_unknown_version(tmp_path):
     with pytest.raises(ParameterError):
         train.model_from_dict({"format_version": 99})
+
+
+def test_checkpoint_malformed_or_missing(tmp_path):
+    with pytest.raises(ParameterError, match="malformed checkpoint"):
+        train.model_from_dict({"format_version": 1})
+    with pytest.raises(DataError):
+        train.load_checkpoint(tmp_path / "missing.json")
