@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import types
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -155,21 +157,45 @@ def read_json(path, what):
     return doc
 
 
+def _matches(value, hint):
+    """Whether a JSON value fits a field annotation. An int fits a float
+    field; a bool fits neither int nor float."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is type(None):
+        return value is None
+    if isinstance(hint, types.UnionType):
+        return any(_matches(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_matches(v, item) for v in value)
+    return isinstance(value, hint)
+
+
 def dataclass_from_dict(cls, doc, what):
-    """cls(**doc) from a JSON object. A field whose default is a dataclass
+    """cls(**doc) from a JSON object. A field whose type is a dataclass
     (TrainConfig.weights) is built from its own nested object. A key cls
-    does not have is a ParameterError; what names the input in messages."""
+    does not have, or a value that does not fit its field's type, is a
+    ParameterError; what names the input in messages."""
     if not isinstance(doc, dict):
         raise ParameterError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(doc) - set(known))
+    hints = typing.get_type_hints(cls)
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(doc) - known)
     if unknown:
         raise ParameterError(f"{what}: unknown keys {unknown}")
     kwargs = dict(doc)
     for name, value in doc.items():
-        if is_dataclass(known[name].default_factory):
-            kwargs[name] = dataclass_from_dict(known[name].default_factory, value,
-                                               f"{what} {name}")
+        hint = hints[name]
+        if is_dataclass(hint):
+            kwargs[name] = dataclass_from_dict(hint, value, f"{what} {name}")
+        elif not _matches(value, hint):
+            raise ParameterError(
+                f"{what}: {name} must be {getattr(hint, '__name__', hint)}, "
+                f"got {json.dumps(value)}"
+            )
     return cls(**kwargs)
 
 

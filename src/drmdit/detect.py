@@ -121,18 +121,12 @@ def auc(scores, labels, center=None):
         center = float(np.median(s[neg]))
     t = fold_scores(s, center)
     order = np.argsort(t, kind="stable")
-    ranks = np.empty(t.size, dtype=np.float64)
-    ranks[order] = np.arange(1, t.size + 1)
-    # average ranks over ties
     sorted_t = t[order]
-    i = 0
-    while i < t.size:
-        j = i
-        while j + 1 < t.size and sorted_t[j + 1] == sorted_t[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a run of tied scores at sorted positions i..j shares rank (i + j) / 2 + 1
+    starts = np.flatnonzero(np.r_[True, sorted_t[1:] != sorted_t[:-1]])
+    ends = np.r_[starts[1:], t.size] - 1
+    ranks = np.empty(t.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -18,7 +18,7 @@ RIDGE_EPSILON = 1e-6
 class GramMatrix:
     """Pairwise Gaussian kernel evaluations over one sample set."""
 
-    raw: np.ndarray  # N x N, symmetric, positive diagonal
+    raw: np.ndarray  # N x N, symmetric to rounding, unit diagonal
     sigma: float
 
 
@@ -43,17 +43,43 @@ def gaussian_kernel_value(sq_dist, sigma, dim):
 
 
 def pairwise_sq_dists(a, b):
-    """Squared Euclidean distances between rows of a and rows of b."""
+    """Squared Euclidean distances between rows of a and rows of b.
+
+    Both sets are centered on a's column mean, which limits cancellation.
+    Then ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j comes out of one matrix product
+    of the lifted rows [a_i, ||a_i||^2, 1] and [-2 b_j, 1, ||b_j||^2], and
+    is clamped at 0. Memory is O((N + M) d + N M). A self-distance
+    matrix is symmetric and zero on the diagonal only to rounding; callers
+    that need exact zeros set them.
+    """
+    same = b is a
     a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    b = a if same else _as_matrix(b, "b")
+    d = a.shape[1]
+    mean = a.mean(axis=0)
+    lhs = np.empty((a.shape[0], d + 2))
+    rhs = np.empty((b.shape[0], d + 2))
+    ac = np.subtract(a, mean, out=lhs[:, :d])
+    lhs[:, d] = np.einsum("ij,ij->i", ac, ac)
+    lhs[:, d + 1] = 1.0
+    if same:  # center once
+        np.multiply(ac, -2.0, out=rhs[:, :d])
+        rhs[:, d + 1] = lhs[:, d]
+    else:
+        bc = np.subtract(b, mean, out=rhs[:, :d])
+        rhs[:, d + 1] = np.einsum("ij,ij->i", bc, bc)
+        bc *= -2.0
+    rhs[:, d] = 1.0
+    sq = lhs @ rhs.T
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def gaussian_gram(samples, sigma) -> GramMatrix:
     """Gram matrix of the isotropic Gaussian kernel over sample rows.
 
-    raw[i, j] = (2*pi*sigma^2)^(-d/2) * exp(-||x_i - x_j||^2 / (2*sigma^2))
+    raw[i, j] = exp(-||x_i - x_j||^2 / (2*sigma^2)), with diagonal exactly 1.
+    The density constant (2*pi*sigma^2)^(-d/2) is left out: every consumer
+    normalizes it away, and at large d it overflows.
     """
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
@@ -62,12 +88,10 @@ def gaussian_gram(samples, sigma) -> GramMatrix:
         raise ParameterError(f"samples must be N>=1 x d>=1, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite values in kernel input")
-    sq = pairwise_sq_dists(x, x)
-    # exact zeros on the diagonal regardless of rounding in the broadcast
-    np.fill_diagonal(sq, 0.0)
-    raw = gaussian_kernel_value(sq, float(sigma), x.shape[1])
-    raw = 0.5 * (raw + raw.T)  # kill last-bit asymmetry from the subtraction order
-    return GramMatrix(raw=raw, sigma=float(sigma))
+    raw = pairwise_sq_dists(x, x)
+    np.fill_diagonal(raw, 0.0)
+    raw *= -0.5 / (float(sigma) * float(sigma))
+    return GramMatrix(raw=np.exp(raw, out=raw), sigma=float(sigma))
 
 
 def normalize_gram(g: GramMatrix) -> NormalizedGram:

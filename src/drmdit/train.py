@@ -61,7 +61,7 @@ class TrainConfig:
     ridge_epsilon: float = ndmath.RIDGE_EPSILON
     mi_mode: str = "ratio"  # "ratio" (paper formula) or "additive" (ablation)
     latent_dim: int = 8
-    hidden_dims: list | None = None  # default d -> d//2 -> latent_dim
+    hidden_dims: list[int] | None = None  # default d -> d//2 -> latent_dim
     activation: str = "tanh"
 
     def validate(self):
@@ -104,31 +104,37 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", floor=itl.ENTROPY_F
     plus its gradient with respect to the latent rows.
 
     xhat is the trace-normalized input Gram (constant w.r.t. parameters).
-    The Gaussian latent Gram has constant diagonal, so the normalized
-    latent Gram is exp(-||z_i - z_j||^2 / (2 sigma^2)) / N and only the
-    off-diagonal entries carry gradient.
+    The latent Gram K has unit diagonal, so the normalized latent Gram is
+    zhat = K / N and only its off-diagonal entries carry gradient. With
+    P = K * xhat (elementwise) the joint Gram is P / tr(P), and P's
+    diagonal is xhat's. The entropies and the chain rule through K's
+    exponent need only K * K and K * (P * xhat) = P * P, each applied to
+    [z, 1] by one matrix product; P itself is never formed.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
     if xhat.shape != (n, n):
         raise ParameterError(f"input Gram shape {xhat.shape} does not match batch {n}")
-    sq = ndmath.pairwise_sq_dists(z, z)
-    np.fill_diagonal(sq, 0.0)
-    kmat = np.exp(-sq / (2.0 * sigma * sigma))
-    kmat = 0.5 * (kmat + kmat.T)
-    zhat = kmat / n
+    xdiag = np.diagonal(xhat)
+    tp = float(xdiag.sum())
+    if tp <= 0:
+        raise DegeneracyError("Hadamard joint Gram has non-positive trace")
+    # off-diagonal squares (the diagonal of zhat is constant), each applied
+    # to [z, 1] in one pass: the last column holds the row sums
+    z1 = np.hstack([z, np.ones((n, 1))])
+    kk = ndmath.gaussian_gram(z, sigma).raw
+    np.square(kk, out=kk)
+    np.fill_diagonal(kk, 0.0)
+    k2z = kk @ z1
+    kk *= xhat
+    kk *= xhat  # now P * P
+    p2z = kk @ z1
 
-    sx = float(np.sum(xhat * xhat))
-    sz = float(np.sum(zhat * zhat))
+    sx = float(np.vdot(xhat, xhat))
+    sz = (float(k2z[:, -1].sum()) + n) / (n * n)  # K's diagonal is exactly 1
+    sj = (float(p2z[:, -1].sum()) + float(np.vdot(xdiag, xdiag))) / (tp * tp)
     hx = -math.log2(sx)
     hz = -math.log2(sz)
-
-    joint_raw = zhat * xhat
-    t = float(np.trace(joint_raw))
-    if t <= 0:
-        raise DegeneracyError("Hadamard joint Gram has non-positive trace")
-    joint = joint_raw / t
-    sj = float(np.sum(joint * joint))
     hxz = -math.log2(sj)
 
     if mode == "ratio":
@@ -143,17 +149,13 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", floor=itl.ENTROPY_F
     else:
         raise ParameterError(f"unknown mi mode {mode!r}")
 
-    # dHz/dzhat and dHxz/dzhat (both symmetric)
-    dhz_dzhat = (-2.0 / (sz * LN2)) * zhat
-    dsj_dzhat = 2.0 * joint * xhat / t
-    np.fill_diagonal(dsj_dzhat, np.diag(dsj_dzhat) - 2.0 * sj * np.diag(xhat) / t)
-    dhxz_dzhat = (-1.0 / (sj * LN2)) * dsj_dzhat
-
-    w = dmi_dhz * dhz_dzhat + dmi_dhxz * dhxz_dzhat
-    np.fill_diagonal(w, 0.0)  # diagonal of zhat is constant 1/n
-    bmat = (w / n) * kmat
-    row = bmat.sum(axis=1)
-    grad_z = (2.0 / (sigma * sigma)) * (bmat @ z - row[:, None] * z)
+    # dHz/dzhat = -2 zhat / (sz ln2) and dHxz/dzhat = -2 N P*xhat / (sj ln2 tr(P)^2);
+    # through zhat = K / N and dK/dz, dMI/dz_i = 2/sigma^2 sum_j B_ij (z_j - z_i)
+    # with B = ck K*K + cp P*P
+    ck = -2.0 * dmi_dhz / (sz * LN2 * n * n)
+    cp = -2.0 * dmi_dhxz / (sj * LN2 * tp * tp)
+    bz = ck * k2z + cp * p2z
+    grad_z = (2.0 / (sigma * sigma)) * (bz[:, :-1] - bz[:, -1:] * z)
     return mi, grad_z, (hx, hz, hxz)
 
 
@@ -198,9 +200,9 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
 
     if w.gamma != 0.0:
         if input_gram_norm is None:
-            input_gram_norm = ndmath.normalize_gram(
-                ndmath.gaussian_gram(x, config.sigma)
-            ).mat
+            # unit diagonal: dividing by N is the trace normalization
+            input_gram_norm = ndmath.gaussian_gram(x, config.sigma).raw
+            input_gram_norm /= x.shape[0]
         mi_term, mi_grad_z, _ = matrix_mi_with_latent_grad(
             input_gram_norm, z, config.sigma, mode=config.mi_mode
         )

@@ -177,6 +177,13 @@ def test_score_without_features_ignores_text_label(runner, trained_checkpoint,
     ("score", "--model", '{"format_version": ', 2),
     ("score", "--model", '{"format_version": 1}', 2),
     ("synth", "--spec", '{"n_rows": 10}', 2),
+    ("train", "--config", '{"epochs": "2"}', 2),
+    ("train", "--config", '{"hidden_dims": "8"}', 2),
+    ("train", "--config", '{"batch_size": 2.5}', 2),
+    ("train", "--config", '{"batch_size": true}', 2),
+    ("train", "--config", '{"sigma": "0.1"}', 2),
+    ("train", "--config", '{"weights": {"alpha": "x"}}', 2),
+    ("synth", "--spec", '{"rho": null}', 2),
     ("score", "--model", None, 3),
     ("train", "--features", None, 3),
 ])

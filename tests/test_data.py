@@ -217,3 +217,16 @@ def test_split_insufficient_rows():
     fm = data.FeatureMatrix(features=np.zeros((2, 1)))
     with pytest.raises(ParameterError):
         data.split(fm, 0.9)
+
+
+def test_dataclass_from_dict_value_types():
+    from drmdit.train import TrainConfig
+
+    cfg = data.dataclass_from_dict(
+        TrainConfig, {"sigma": 1, "hidden_dims": None, "weights": {"alpha": 2}}, "cfg")
+    assert cfg.sigma == 1 and cfg.hidden_dims is None and cfg.weights.alpha == 2
+    assert data.dataclass_from_dict(TrainConfig, {"hidden_dims": [6, 4]}, "cfg").hidden_dims == [6, 4]
+    for bad in ({"epochs": True}, {"latent_dim": 3.0}, {"hidden_dims": [6, "4"]},
+                {"mi_mode": 1}, {"learning_rate": None}):
+        with pytest.raises(ParameterError):
+            data.dataclass_from_dict(TrainConfig, bad, "cfg")

@@ -131,6 +131,18 @@ def test_auc_monotone_invariance():
     assert a1 == pytest.approx(a2, abs=1e-12)
 
 
+def test_auc_matches_pairwise_count_with_ties():
+    rng = np.random.default_rng(54)
+    for n, levels in [(7, 3), (200, 5), (300, 1000), (50, 1)]:
+        s = rng.integers(0, levels, size=n).astype(float)
+        y = (rng.uniform(size=n) < 0.3).astype(int)
+        y[0], y[1] = 0, 1
+        t = np.abs(s - 1.0)
+        tp, tn = t[y == 1][:, None], t[y == 0][None, :]
+        brute = np.mean((tp > tn) + 0.5 * (tp == tn))
+        assert detect.auc(s, y, center=1.0) == pytest.approx(brute, abs=1e-12)
+
+
 def test_auc_single_class_error():
     with pytest.raises(ParameterError):
         detect.auc([0.1, 0.2], [1, 1])

@@ -1,13 +1,55 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drmdit import ndmath
 from drmdit.errors import DataError, DegeneracyError, ParameterError
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 24), m=st.integers(1, 24), d=st.integers(1, 130),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 50.0]),
+       offset_a=st.floats(-1e3, 1e3), offset_b=st.floats(-1e3, 1e3),
+       n_dup=st.integers(0, 24), self_pair=st.booleans())
+def test_pairwise_sq_dists_matches_broadcast(n, m, d, seed, scale, offset_a,
+                                             offset_b, n_dup, self_pair):
+    rng = np.random.default_rng(seed)
+    a = offset_a + scale * rng.normal(size=(n, d))
+    b = offset_b + scale * rng.normal(size=(m, d))
+    # copy rows of a into b (zero cross distances) and within a
+    k = min(n_dup, n, m)
+    b[:k] = a[rng.integers(0, n, size=k)]
+    if n > 1:
+        a[-1] = a[0]
+    if self_pair:
+        b = a
+    diff = a[:, None, :] - b[None, :, :]
+    ref = np.sum(diff * diff, axis=2)
+    out = ndmath.pairwise_sq_dists(a, b)
+    assert out.shape == ref.shape
+    assert np.all(out >= 0.0)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * max(1.0, float(ref.max()))
+
+
+def test_pairwise_sq_dists_memory_stays_quadratic():
+    # an N x N x d broadcast would take N*N*d*8 bytes (256 MB here)
+    n, d = 512, 122
+    x = np.random.default_rng(5).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        ndmath.pairwise_sq_dists(x, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * n * 8
+
+
 def test_gaussian_gram_zero_distance_value():
     g = ndmath.gaussian_gram([[0.0]], sigma=1.0)
-    assert g.raw[0, 0] == pytest.approx(0.3989422804, abs=1e-10)
+    assert g.raw[0, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gaussian_gram_identical_samples():
@@ -16,16 +58,16 @@ def test_gaussian_gram_identical_samples():
 
 
 def test_gaussian_gram_hand_value():
-    # d=1, sigma=1, samples {0, 2}: off-diagonal is k(0) * exp(-2)
+    # d=1, sigma=1, samples {0, 2}: off-diagonal is exp(-4 / 2)
     g = ndmath.gaussian_gram([[0.0], [2.0]], sigma=1.0)
-    assert g.raw[0, 1] == pytest.approx(0.0539909665, abs=1e-9)
+    assert g.raw[0, 1] == pytest.approx(np.exp(-2.0), abs=1e-9)
 
 
 def test_gaussian_gram_diagonal_constant():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(7, 3))
     g = ndmath.gaussian_gram(x, sigma=0.5)
-    expected = (2 * np.pi * 0.25) ** (-1.5)
+    expected = 1.0
     assert np.allclose(np.diag(g.raw), expected)
 
 

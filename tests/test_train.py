@@ -69,6 +69,19 @@ def test_loss_breakdown_total_identity():
     )
 
 
+def test_joint_loss_finite_on_wide_batch():
+    # (2*pi*sigma^2)^(-d/2) overflows a float at d=600, sigma=0.1; the
+    # unit-diagonal Gram never forms it
+    rng = np.random.default_rng(35)
+    x = rng.uniform(size=(16, 600))
+    cfg = train.TrainConfig(batch_size=16)
+    params = autoenc.init_params(cfg.resolve_layer_dims(600), seed=3)
+    breakdown, grads = train.joint_loss(params, x, cfg)
+    assert np.all(np.isfinite([breakdown.md_term, breakdown.recon_term,
+                               breakdown.mi_term, breakdown.total]))
+    assert all(np.all(np.isfinite(g)) for g in grads.weights)
+
+
 def test_mi_latent_gradient_finite_difference():
     rng = np.random.default_rng(33)
     x = rng.normal(size=(7, 3))
