@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -36,16 +37,26 @@ def _read_json(path, what):
     return {} if path is None else data_mod.read_json(path, what)
 
 
+@dataclass
+class FeatureSpec:
+    """The --features JSON object."""
+
+    columns: list[str] | None = None
+    label_column: str | None = None
+    normal_values: list[str] = field(
+        default_factory=lambda: list(data_mod.DEFAULT_NORMAL_VALUES))
+
+
 def _load_dataset(csv_path, features_json=None, label_column=None, columns=None):
     """Read the CSV once. --features keys take precedence over columns
     (the checkpoint's, when scoring); --labels over its label_column."""
-    spec = _read_json(features_json, "--features")
+    spec = data_mod.dataclass_from_dict(
+        FeatureSpec, _read_json(features_json, "--features"), "--features")
     dataset, dropped = data_mod.load_csv(
         csv_path,
-        label_column=label_column or spec.get("label_column"),
-        columns=spec.get("columns") or columns,
-        normal_values=tuple(spec.get("normal_values",
-                                     data_mod.DEFAULT_NORMAL_VALUES)),
+        label_column=label_column or spec.label_column,
+        columns=spec.columns or columns,
+        normal_values=tuple(spec.normal_values),
     )
     if dropped:
         click.echo(f"dropped {dropped} unparseable/non-finite rows", err=True)

@@ -1,12 +1,11 @@
-"""Nonparametric entropy and divergence estimators.
+"""Nonparametric entropy and mutual-information estimators.
 
 Two families:
   * sample-based: quadratic entropy as the negative log of the mean pairwise
     Gaussian kernel (the information potential), natural log;
-  * matrix-based: -log2 tr(X^2) of a trace-normalized Gram matrix, log2.
-
-The two bases are never mixed; mutual information only accepts the
-matrix/log2 kind.
+  * matrix-based: -log2 tr(X^2) of a trace-normalized Gram matrix, log2,
+    and the mutual information between an input Gram and a latent batch,
+    with its gradient with respect to the latent rows.
 """
 from __future__ import annotations
 
@@ -16,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError
-from .ndmath import (GramMatrix, NormalizedGram, gaussian_kernel_value,
-                     hadamard_normalized, pairwise_sq_dists)
+from .ndmath import NormalizedGram, gaussian_gram, pairwise_sq_dists
 
 ENTROPY_FLOOR = 1e-3  # bits; keeps the MI ratio finite for collapsed batches
 LN2 = math.log(2.0)
@@ -26,14 +24,6 @@ LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class EntropyValue:
     value: float
-    basis: str  # "natural" | "log2"
-    kind: str  # "sample" | "matrix"
-
-
-@dataclass(frozen=True)
-class MiValue:
-    value: float
-    components: tuple  # (Hx, Hz, Hxz) after flooring
 
 
 def _check_samples(m, name):
@@ -43,93 +33,128 @@ def _check_samples(m, name):
     return a
 
 
-def information_potential(x, sigma):
-    """Mean pairwise Gaussian kernel with bandwidth sigma*sqrt(2)."""
-    x = _check_samples(x, "samples")
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    sq = pairwise_sq_dists(x, x)
-    np.fill_diagonal(sq, 0.0)
-    vals = gaussian_kernel_value(sq, sigma * math.sqrt(2.0), x.shape[1])
-    return float(vals.sum()) / (x.shape[0] ** 2)
+def _log_mean_kernel(x, z, sigma):
+    """log of the mean of exp(-||x_i - z_j||^2 / (4 sigma^2)) over all pairs.
 
-
-def cross_information_potential(x, z, sigma):
-    """Mean cross-kernel between two sample sets, bandwidth sigma*sqrt(2)."""
+    This is the (cross) information potential at bandwidth sigma*sqrt(2)
+    without its density constant. The sum is shifted by its largest
+    exponent, so nothing under- or overflows at large d and small sigma.
+    When z is x the self-distances are exactly 0.
+    """
+    same = z is x
     x = _check_samples(x, "x")
-    z = _check_samples(z, "z")
+    z = x if same else _check_samples(z, "z")
     if x.shape[1] != z.shape[1]:
         raise ParameterError(
             f"dimension mismatch: x has {x.shape[1]} columns, z has {z.shape[1]}"
         )
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    sq = pairwise_sq_dists(x, z)
-    vals = gaussian_kernel_value(sq, sigma * math.sqrt(2.0), x.shape[1])
-    return float(vals.sum()) / (x.shape[0] * z.shape[0])
+    e = pairwise_sq_dists(x, z)
+    if same:
+        np.fill_diagonal(e, 0.0)
+    e *= -0.25 / (sigma * sigma)
+    top = float(e.max())
+    e -= top
+    return top + math.log(float(np.exp(e, out=e).sum())) - math.log(e.size)
 
 
 def renyi2_sample(samples, sigma) -> EntropyValue:
-    """Quadratic entropy: -log of the information potential (natural log)."""
-    ip = information_potential(samples, sigma)
-    if ip <= 0:
-        raise DegeneracyError("information potential vanished")
-    return EntropyValue(value=-math.log(ip), basis="natural", kind="sample")
+    """Quadratic entropy: -log of the information potential (natural log).
+
+    The density constant (4*pi*sigma^2)^(-d/2) enters in log space.
+    """
+    x = _check_samples(samples, "samples")
+    log_ip = _log_mean_kernel(x, x, sigma)
+    return EntropyValue(
+        value=0.5 * x.shape[1] * math.log(4.0 * math.pi * sigma * sigma) - log_ip)
+
+
+def _renyi2_bits(frobenius_sum, what):
+    """-log2 of tr(A^2) given as the squared Frobenius sum of A."""
+    if frobenius_sum <= 0:
+        raise DegeneracyError(f"trace of squared normalized {what} is non-positive")
+    return -math.log2(frobenius_sum)
 
 
 def renyi2_matrix(g: NormalizedGram) -> EntropyValue:
     """-log2 tr(mat^2), computed as the squared Frobenius sum."""
-    s = float(np.sum(g.mat * g.mat))
-    if s <= 0:
-        raise DegeneracyError("trace of squared normalized Gram is non-positive")
-    return EntropyValue(value=-math.log2(s), basis="log2", kind="matrix")
-
-
-def joint_entropy_matrix(gx: NormalizedGram, gz: NormalizedGram) -> EntropyValue:
-    """Matrix joint entropy via the unit-trace Hadamard product."""
-    if gx.mat.shape != gz.mat.shape:
-        raise ParameterError(
-            f"Gram size mismatch {gx.mat.shape} vs {gz.mat.shape}"
-        )
-    joint = hadamard_normalized(gx.mat, gz.mat)
-    return renyi2_matrix(NormalizedGram(mat=joint))
+    return EntropyValue(value=_renyi2_bits(float(np.sum(g.mat * g.mat)), "Gram"))
 
 
 def cs_divergence_sample(x, z, sigma):
     """Cauchy-Schwarz divergence between two sample sets (natural log).
 
     -log( CIP / sqrt(IP_x * IP_z) ); zero iff the sets induce the same
-    kernel density.
+    kernel density. The density constants cancel, so none is formed.
     """
-    ip_x = information_potential(x, sigma)
-    ip_z = information_potential(z, sigma)
-    cip = cross_information_potential(x, z, sigma)
-    if ip_x <= 0 or ip_z <= 0 or cip <= 0:
-        raise DegeneracyError("vanishing information potential in CS divergence")
-    val = -math.log(cip / math.sqrt(ip_x * ip_z))
+    val = (0.5 * (_log_mean_kernel(x, x, sigma) + _log_mean_kernel(z, z, sigma))
+           - _log_mean_kernel(x, z, sigma))
     if val < -1e-10:
         raise DegeneracyError(f"CS divergence came out negative ({val:.3e})")
     return max(val, 0.0)
 
 
-def floor_entropy(h: EntropyValue, floor=ENTROPY_FLOOR) -> float:
-    return max(h.value, floor)
+def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio"):
+    """Matrix-based MI between a fixed input Gram and the latent batch,
+    plus its gradient with respect to the latent rows.
 
+    xhat is the trace-normalized input Gram (constant w.r.t. parameters).
+    The latent Gram K has unit diagonal, so the normalized latent Gram is
+    zhat = K / N and only its off-diagonal entries carry gradient. With
+    P = K * xhat (elementwise) the joint Gram is P / tr(P), and P's
+    diagonal is xhat's. The entropies and the chain rule through K's
+    exponent need only K * K and K * (P * xhat) = P * P, each applied to
+    [z, 1] by one matrix product; P itself is never formed.
 
-def mi_cs(hx: EntropyValue, hz: EntropyValue, hxz: EntropyValue,
-          floor=ENTROPY_FLOOR) -> MiValue:
-    """Mutual information as log2(Hx * Hz / Hxz^2) over floored entropies."""
-    for h, name in ((hx, "hx"), (hz, "hz"), (hxz, "hxz")):
-        if h.kind != "matrix" or h.basis != "log2":
-            raise ParameterError(f"{name} must be a matrix-kind log2 entropy")
-    a, b, c = floor_entropy(hx, floor), floor_entropy(hz, floor), floor_entropy(hxz, floor)
-    return MiValue(value=math.log2(a * b / (c * c)), components=(a, b, c))
+    mode "ratio" is the paper's log2(Hx * Hz / Hxz^2) over entropies
+    floored at ENTROPY_FLOOR; "additive" is the ablation Hx + Hz - Hxz.
+    Returns (mi, grad_z, (hx, hz, hxz)) with the unfloored entropies.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    n = z.shape[0]
+    if xhat.shape != (n, n):
+        raise ParameterError(f"input Gram shape {xhat.shape} does not match batch {n}")
+    xdiag = np.diagonal(xhat)
+    tp = float(xdiag.sum())
+    if tp <= 0:
+        raise DegeneracyError("Hadamard joint Gram has non-positive trace")
+    # off-diagonal squares (the diagonal of zhat is constant), each applied
+    # to [z, 1] in one pass: the last column holds the row sums
+    z1 = np.hstack([z, np.ones((n, 1))])
+    kk = gaussian_gram(z, sigma).raw
+    np.square(kk, out=kk)
+    np.fill_diagonal(kk, 0.0)
+    k2z = kk @ z1
+    kk *= xhat
+    kk *= xhat  # now P * P
+    p2z = kk @ z1
 
+    sx = float(np.vdot(xhat, xhat))
+    sz = (float(k2z[:, -1].sum()) + n) / (n * n)  # K's diagonal is exactly 1
+    sj = (float(p2z[:, -1].sum()) + float(np.vdot(xdiag, xdiag))) / (tp * tp)
+    hx = _renyi2_bits(sx, "input Gram")
+    hz = _renyi2_bits(sz, "latent Gram")
+    hxz = _renyi2_bits(sj, "joint Gram")
 
-def mi_additive(hx: EntropyValue, hz: EntropyValue, hxz: EntropyValue) -> MiValue:
-    """Ablation variant: Hx + Hz - Hxz (no flooring needed)."""
-    for h, name in ((hx, "hx"), (hz, "hz"), (hxz, "hxz")):
-        if h.kind != "matrix" or h.basis != "log2":
-            raise ParameterError(f"{name} must be a matrix-kind log2 entropy")
-    return MiValue(value=hx.value + hz.value - hxz.value,
-                   components=(hx.value, hz.value, hxz.value))
+    if mode == "ratio":
+        floor = ENTROPY_FLOOR
+        a, b, c = max(hx, floor), max(hz, floor), max(hxz, floor)
+        mi = math.log2(a * b / (c * c))
+        dmi_dhz = 1.0 / (b * LN2) if hz > floor else 0.0
+        dmi_dhxz = -2.0 / (c * LN2) if hxz > floor else 0.0
+    elif mode == "additive":
+        mi = hx + hz - hxz
+        dmi_dhz = 1.0
+        dmi_dhxz = -1.0
+    else:
+        raise ParameterError(f"unknown mi mode {mode!r}")
+
+    # dHz/dzhat = -2 zhat / (sz ln2) and dHxz/dzhat = -2 N P*xhat / (sj ln2 tr(P)^2);
+    # through zhat = K / N and dK/dz, dMI/dz_i = 2/sigma^2 sum_j B_ij (z_j - z_i)
+    # with B = ck K*K + cp P*P
+    ck = -2.0 * dmi_dhz / (sz * LN2 * n * n)
+    cp = -2.0 * dmi_dhxz / (sj * LN2 * tp * tp)
+    bz = ck * k2z + cp * p2z
+    grad_z = (2.0 / (sigma * sigma)) * (bz[:, :-1] - bz[:, -1:] * z)
+    return mi, grad_z, (hx, hz, hxz)

@@ -36,12 +36,6 @@ def _as_matrix(x, name="input"):
     return a
 
 
-def gaussian_kernel_value(sq_dist, sigma, dim):
-    """(2*pi*sigma^2)^(-dim/2) * exp(-sq_dist / (2*sigma^2))."""
-    norm = (2.0 * np.pi * sigma * sigma) ** (-0.5 * dim)
-    return norm * np.exp(-sq_dist / (2.0 * sigma * sigma))
-
-
 def pairwise_sq_dists(a, b):
     """Squared Euclidean distances between rows of a and rows of b.
 
@@ -95,29 +89,8 @@ def gaussian_gram(samples, sigma) -> GramMatrix:
 
 
 def normalize_gram(g: GramMatrix) -> NormalizedGram:
-    """Trace-normalize: mat[i,j] = raw[i,j] / (N * sqrt(raw_ii * raw_jj))."""
-    raw = g.raw
-    n = raw.shape[0]
-    diag = np.diag(raw)
-    if np.any(diag <= 0):
-        raise DegeneracyError("non-positive diagonal entry in Gram matrix")
-    scale = np.sqrt(diag)
-    mat = raw / (n * np.outer(scale, scale))
-    np.fill_diagonal(mat, 1.0 / n)
-    return NormalizedGram(mat=mat)
-
-
-def hadamard_normalized(a, b):
-    """Elementwise product renormalized to unit trace."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ParameterError(f"shape mismatch {a.shape} vs {b.shape}")
-    prod = a * b
-    tr = float(np.trace(prod))
-    if tr <= 0:
-        raise DegeneracyError("Hadamard product has non-positive trace")
-    return prod / tr
+    """Trace-normalize: the diagonal is 1, so mat = raw / N."""
+    return NormalizedGram(mat=g.raw / g.raw.shape[0])
 
 
 def ridge_inverse(r, epsilon=RIDGE_EPSILON):

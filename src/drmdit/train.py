@@ -14,16 +14,15 @@ flows through the latent Gram only.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import autoenc, data, itl, ndmath, robust
+from . import autoenc, data, ndmath, robust
 from .autoenc import Gradients, NetworkParams
 from .errors import DegeneracyError, ParameterError, TrainingError
+from .itl import matrix_mi_with_latent_grad
 
-LN2 = math.log(2.0)
 CHECKPOINT_FORMAT_VERSION = 1
 
 
@@ -97,66 +96,6 @@ class TrainedModel:
 
     def reconstruct(self, features):
         return autoenc.forward(self.params, features).reconstruction
-
-
-def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", floor=itl.ENTROPY_FLOOR):
-    """Matrix-based MI between a fixed input Gram and the latent batch,
-    plus its gradient with respect to the latent rows.
-
-    xhat is the trace-normalized input Gram (constant w.r.t. parameters).
-    The latent Gram K has unit diagonal, so the normalized latent Gram is
-    zhat = K / N and only its off-diagonal entries carry gradient. With
-    P = K * xhat (elementwise) the joint Gram is P / tr(P), and P's
-    diagonal is xhat's. The entropies and the chain rule through K's
-    exponent need only K * K and K * (P * xhat) = P * P, each applied to
-    [z, 1] by one matrix product; P itself is never formed.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    n = z.shape[0]
-    if xhat.shape != (n, n):
-        raise ParameterError(f"input Gram shape {xhat.shape} does not match batch {n}")
-    xdiag = np.diagonal(xhat)
-    tp = float(xdiag.sum())
-    if tp <= 0:
-        raise DegeneracyError("Hadamard joint Gram has non-positive trace")
-    # off-diagonal squares (the diagonal of zhat is constant), each applied
-    # to [z, 1] in one pass: the last column holds the row sums
-    z1 = np.hstack([z, np.ones((n, 1))])
-    kk = ndmath.gaussian_gram(z, sigma).raw
-    np.square(kk, out=kk)
-    np.fill_diagonal(kk, 0.0)
-    k2z = kk @ z1
-    kk *= xhat
-    kk *= xhat  # now P * P
-    p2z = kk @ z1
-
-    sx = float(np.vdot(xhat, xhat))
-    sz = (float(k2z[:, -1].sum()) + n) / (n * n)  # K's diagonal is exactly 1
-    sj = (float(p2z[:, -1].sum()) + float(np.vdot(xdiag, xdiag))) / (tp * tp)
-    hx = -math.log2(sx)
-    hz = -math.log2(sz)
-    hxz = -math.log2(sj)
-
-    if mode == "ratio":
-        a, b, c = max(hx, floor), max(hz, floor), max(hxz, floor)
-        mi = math.log2(a * b / (c * c))
-        dmi_dhz = 1.0 / (b * LN2) if hz > floor else 0.0
-        dmi_dhxz = -2.0 / (c * LN2) if hxz > floor else 0.0
-    elif mode == "additive":
-        mi = hx + hz - hxz
-        dmi_dhz = 1.0
-        dmi_dhxz = -1.0
-    else:
-        raise ParameterError(f"unknown mi mode {mode!r}")
-
-    # dHz/dzhat = -2 zhat / (sz ln2) and dHxz/dzhat = -2 N P*xhat / (sj ln2 tr(P)^2);
-    # through zhat = K / N and dK/dz, dMI/dz_i = 2/sigma^2 sum_j B_ij (z_j - z_i)
-    # with B = ck K*K + cp P*P
-    ck = -2.0 * dmi_dhz / (sz * LN2 * n * n)
-    cp = -2.0 * dmi_dhxz / (sj * LN2 * tp * tp)
-    bz = ck * k2z + cp * p2z
-    grad_z = (2.0 / (sigma * sigma)) * (bz[:, :-1] - bz[:, -1:] * z)
-    return mi, grad_z, (hx, hz, hxz)
 
 
 def _md_term_with_grad(latents, stats):

@@ -184,6 +184,9 @@ def test_score_without_features_ignores_text_label(runner, trained_checkpoint,
     ("train", "--config", '{"sigma": "0.1"}', 2),
     ("train", "--config", '{"weights": {"alpha": "x"}}', 2),
     ("synth", "--spec", '{"rho": null}', 2),
+    ("train", "--features", '{"normal_values": "Benign"}', 2),
+    ("train", "--features", '{"columns": "f0"}', 2),
+    ("train", "--features", '{"label_column": 3}', 2),
     ("score", "--model", None, 3),
     ("train", "--features", None, 3),
 ])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drmdit import itl, ndmath
-from drmdit.errors import ParameterError
+from drmdit.errors import DegeneracyError, ParameterError
 from drmdit.ndmath import NormalizedGram
 
 
@@ -15,7 +15,6 @@ def _norm_gram(x, sigma):
 def test_renyi2_sample_single_point():
     h = itl.renyi2_sample([[0.0]], sigma=1.0)
     assert h.value == pytest.approx(1.26551, abs=1e-5)
-    assert h.basis == "natural" and h.kind == "sample"
 
 
 def test_renyi2_sample_duplication_invariance():
@@ -75,24 +74,6 @@ def test_renyi2_matrix_bounds_property():
         assert -1e-10 <= v <= math.log2(n) + 1e-10
 
 
-def test_joint_entropy_matrix_identity_case():
-    g = NormalizedGram(mat=np.eye(4) / 4.0)
-    assert itl.joint_entropy_matrix(g, g).value == pytest.approx(2.0, abs=1e-12)
-
-
-def test_joint_entropy_matrix_constant_factor():
-    rng = np.random.default_rng(18)
-    gx = _norm_gram(rng.normal(size=(5, 2)), 0.5)
-    gz = NormalizedGram(mat=np.full((5, 5), 0.2))
-    assert itl.joint_entropy_matrix(gx, gz).value == pytest.approx(
-        itl.renyi2_matrix(gx).value, abs=1e-12)
-
-
-def test_joint_entropy_matrix_single_sample():
-    g = NormalizedGram(mat=np.array([[1.0]]))
-    assert itl.joint_entropy_matrix(g, g).value == pytest.approx(0.0, abs=1e-12)
-
-
 def test_cs_divergence_identical_sets():
     rng = np.random.default_rng(19)
     x = rng.normal(size=(10, 2))
@@ -122,39 +103,6 @@ def test_cs_divergence_dim_mismatch():
         itl.cs_divergence_sample(np.zeros((3, 2)), np.zeros((3, 3)), 0.5)
 
 
-def test_mi_cs_equal_entropies():
-    h = itl.EntropyValue(value=1.7, basis="log2", kind="matrix")
-    assert itl.mi_cs(h, h, h).value == pytest.approx(0.0)
-
-
-def test_mi_cs_hand_cases():
-    def ev(v):
-        return itl.EntropyValue(value=v, basis="log2", kind="matrix")
-    assert itl.mi_cs(ev(2.0), ev(2.0), ev(1.0)).value == pytest.approx(2.0)
-    assert itl.mi_cs(ev(1.0), ev(1.0), ev(2.0)).value == pytest.approx(-2.0)
-
-
-def test_mi_cs_floors_components():
-    def ev(v):
-        return itl.EntropyValue(value=v, basis="log2", kind="matrix")
-    out = itl.mi_cs(ev(0.0), ev(2.0), ev(1.0))
-    assert out.components[0] == itl.ENTROPY_FLOOR
-    assert math.isfinite(out.value)
-
-
-def test_mi_cs_rejects_sample_basis():
-    bad = itl.EntropyValue(value=1.0, basis="natural", kind="sample")
-    good = itl.EntropyValue(value=1.0, basis="log2", kind="matrix")
-    with pytest.raises(ParameterError):
-        itl.mi_cs(bad, good, good)
-
-
-def test_mi_additive_hand_case():
-    def ev(v):
-        return itl.EntropyValue(value=v, basis="log2", kind="matrix")
-    assert itl.mi_additive(ev(2.0), ev(1.5), ev(2.5)).value == pytest.approx(1.0)
-
-
 def test_estimators_permutation_invariant():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(11, 3))
@@ -165,3 +113,76 @@ def test_estimators_permutation_invariant():
     g2 = _norm_gram(x[perm], 0.5)
     assert itl.renyi2_matrix(g1).value == pytest.approx(
         itl.renyi2_matrix(g2).value, abs=1e-12)
+
+
+def _eigen_entropy(a):
+    lam = np.linalg.eigvalsh(a)
+    return -math.log2(float(np.sum(lam * lam)))
+
+
+def test_mi_with_latent_grad_matches_eigen_oracle():
+    rng = np.random.default_rng(24)
+    n, sigma = 12, 0.6
+    x = rng.normal(size=(n, 4))
+    z = rng.normal(size=(n, 2)) * 0.5
+    xhat = ndmath.gaussian_gram(x, sigma).raw / n
+    zhat = ndmath.gaussian_gram(z, sigma).raw / n
+    joint = xhat * zhat / np.trace(xhat * zhat)
+    hx, hz, hxz = (_eigen_entropy(m) for m in (xhat, zhat, joint))
+    floor = itl.ENTROPY_FLOOR
+    expected = {
+        "ratio": math.log2(max(hx, floor) * max(hz, floor) / max(hxz, floor) ** 2),
+        "additive": hx + hz - hxz,
+    }
+    for mode, mi_oracle in expected.items():
+        mi, grad, comps = itl.matrix_mi_with_latent_grad(xhat, z, sigma, mode=mode)
+        assert comps == pytest.approx((hx, hz, hxz), abs=1e-9)
+        assert mi == pytest.approx(mi_oracle, abs=1e-9)
+        assert grad.shape == z.shape
+    with pytest.raises(ParameterError):
+        itl.matrix_mi_with_latent_grad(xhat[1:, 1:], z, sigma)
+    with pytest.raises(ParameterError):
+        itl.matrix_mi_with_latent_grad(xhat, z, sigma, mode="cs")
+    with pytest.raises(DegeneracyError):
+        itl.matrix_mi_with_latent_grad(np.zeros_like(xhat), z, sigma)
+
+
+def test_mi_with_latent_grad_floors_collapsed_latents():
+    rng = np.random.default_rng(25)
+    n, sigma = 9, 0.4
+    x = rng.normal(size=(n, 3))
+    xhat = ndmath.gaussian_gram(x, sigma).raw / n
+    # identical latent rows: zhat is 1/N everywhere, so Hz = 0 is floored
+    # and the joint Gram is xhat itself
+    z = np.tile([[0.3, -0.2]], (n, 1))
+    mi, grad, (hx, hz, hxz) = itl.matrix_mi_with_latent_grad(xhat, z, sigma)
+    assert hz == pytest.approx(0.0, abs=1e-12)
+    assert hxz == pytest.approx(hx, abs=1e-12)
+    assert mi == pytest.approx(math.log2(itl.ENTROPY_FLOOR / hx), abs=1e-9)
+    assert np.max(np.abs(grad)) <= 1e-12
+    # nearly identical rows keep Hz under the floor: the gradient is the
+    # Hxz part alone, which finite differences of the floored MI confirm
+    z = z + 1e-3 * rng.normal(size=z.shape)
+    _, grad, (_, hz, _) = itl.matrix_mi_with_latent_grad(xhat, z, sigma)
+    assert 0.0 < hz < itl.ENTROPY_FLOOR
+    h = 1e-7
+    for i, j in [(0, 0), (4, 1), (8, 0)]:
+        zp, zm = z.copy(), z.copy()
+        zp[i, j] += h
+        zm[i, j] -= h
+        fd = (itl.matrix_mi_with_latent_grad(xhat, zp, sigma)[0]
+              - itl.matrix_mi_with_latent_grad(xhat, zm, sigma)[0]) / (2 * h)
+        assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+
+def test_sample_estimators_finite_on_wide_input():
+    # at d=600 and sigma=0.1 the density constant is about 1e270 per
+    # information potential; off-diagonal kernels underflow to 0
+    rng = np.random.default_rng(26)
+    x = rng.uniform(size=(8, 600))
+    d_cs = itl.cs_divergence_sample(x, x + 0.05, 0.1)
+    h = itl.renyi2_sample(x, 0.1).value
+    assert math.isfinite(d_cs) and math.isfinite(h)
+    # only the matched pairs, 600 * 0.05^2 apart, survive in the cross term
+    assert d_cs == pytest.approx(600 * 0.05 ** 2 / (4 * 0.1 ** 2), abs=1e-6)
+    assert h == pytest.approx(300 * math.log(4 * math.pi * 0.01) + math.log(8), abs=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drmdit import ndmath
-from drmdit.errors import DataError, DegeneracyError, ParameterError
+from drmdit.errors import DataError, ParameterError
 
 
 @settings(max_examples=150, deadline=None)
@@ -116,36 +116,6 @@ def test_normalize_gram_unit_trace_property():
         ng = ndmath.normalize_gram(ndmath.gaussian_gram(x, sigma=0.4))
         assert abs(np.trace(ng.mat) - 1.0) <= 1e-10
         assert np.max(np.abs(ng.mat)) <= 1.0 / n + 1e-12
-
-
-def test_hadamard_normalized_identity_case():
-    m = np.eye(4) / 4
-    out = ndmath.hadamard_normalized(m, m)
-    assert np.allclose(out, np.eye(4) / 4)
-
-
-def test_hadamard_normalized_hand_case():
-    a = np.array([[0.5, 0.1], [0.1, 0.5]])
-    b = np.array([[0.5, 0.5], [0.5, 0.5]])
-    out = ndmath.hadamard_normalized(a, b)
-    assert np.allclose(out, [[0.5, 0.1], [0.1, 0.5]])
-
-
-def test_hadamard_normalized_errors():
-    with pytest.raises(DegeneracyError):
-        ndmath.hadamard_normalized(np.eye(2), np.zeros((2, 2)))
-    with pytest.raises(ParameterError):
-        ndmath.hadamard_normalized(np.eye(2), np.eye(3))
-
-
-def test_hadamard_normalized_unit_trace_property():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        n = rng.integers(2, 12)
-        a = ndmath.normalize_gram(ndmath.gaussian_gram(rng.normal(size=(n, 2)), 0.5)).mat
-        b = ndmath.normalize_gram(ndmath.gaussian_gram(rng.normal(size=(n, 2)), 0.5)).mat
-        out = ndmath.hadamard_normalized(a, b)
-        assert abs(np.trace(out) - 1.0) <= 1e-12
 
 
 def test_ridge_inverse_identity():
