@@ -123,8 +123,7 @@ def cli_score(model_path, data_path, features_json, mode, out_prefix):
         report = detect.ScoreReport(
             scores=scores, transformed_scores=detect.fold_scores(scores, center),
             predictions=np.zeros(scores.size, dtype=np.int64),
-            tags=["-"] * scores.size,
-            band=detect.ScoreBand(low=-1e308, high=1e308),
+            tags=["-"] * scores.size, band=None,
             scoring_mode=mode, labels=dataset.labels,
         )
         paths = detect.emit_report(report, out_prefix)
@@ -182,8 +181,13 @@ def cli_eval(model_path, data_path, features_json, label_column, mode, band,
 def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
     """Grid-search sigma (and the default weight grid) on a labeled CSV."""
     try:
+        try:
+            sigmas = [float(v) for v in sigma_list.split(",") if v]
+        except ValueError:
+            raise ParameterError(
+                f"--sigma must be comma-separated numbers, got {sigma_list!r}"
+            ) from None
         dataset = _load_dataset(data_path, features_json)
-        sigmas = [float(v) for v in sigma_list.split(",") if v]
         trainset, valset, _ = data_mod.split(dataset, 0.6, seed=seed)
         if trainset.labels is not None:
             trainset = trainset.take(np.nonzero(trainset.labels == 0)[0])
@@ -196,7 +200,7 @@ def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
         best, table = train_mod.grid_search(train_norm, val_norm, sigmas,
                                            weight_grid, base_config=base,
                                            epochs=epochs)
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with data_mod.open_output(out_path) as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["sigma", "alpha", "beta", "gamma", "score"],
                 lineterminator="\n")

@@ -8,9 +8,13 @@ with source rows.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
+import math
 import os
+import re
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -67,62 +71,182 @@ def load_csv(path, label_column=None, columns=None,
 
     Rows that end before a selected column or the label, or whose selected
     values are unparseable or non-finite, are dropped; the drop count is
-    returned alongside. Label values in normal_values map to 0, everything
-    else to 1.
+    returned alongside. Blank lines are skipped and not counted. Label
+    values in normal_values map to 0, everything else to 1.
+
+    The file is read in chunks of lines. Lines with the header's field
+    count go to np.loadtxt in one batch; a line numpy rejects, and every
+    other line, is read by the per-row rule (_row_values). From the first
+    chunk holding a quote (a field may span lines) or a control character
+    numpy reads differently from float(), the rest of the file goes through
+    csv.reader and the per-row rule.
 
     Returns (FeatureMatrix, dropped_count).
     """
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file (missing header)") from None
-        header = [h.strip() for h in header]
-        if columns is None:
-            # "tag" is the provenance column save_csv writes; never a feature
-            feature_names = [h for h in header if h not in (label_column, "tag")]
-        else:
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise DataError(f"{path}: missing columns {missing}")
-            feature_names = list(columns)
-        if label_column is not None and label_column not in header:
-            raise DataError(f"{path}: missing label column {label_column!r}")
-        feat_idx = [header.index(c) for c in feature_names]
-        label_idx = header.index(label_column) if label_column else None
-
-        rows, labels, dropped = [], [], 0
-        normal_set = set(normal_values)
-        for raw in reader:
-            if not raw:
-                continue
-            try:
-                vals = [float(raw[i]) for i in feat_idx]
-                label = None if label_idx is None else raw[label_idx].strip()
-            except (ValueError, IndexError):
-                dropped += 1
-                continue
-            if not all(np.isfinite(vals)):
-                dropped += 1
-                continue
-            rows.append(vals)
-            if label_idx is not None:
-                labels.append(0 if label in normal_set else 1)
-    if not rows:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path}: empty file (missing header)")
+            header = [h.strip() for h in header]
+            if columns is None:
+                # "tag" is the provenance column save_csv writes; never a feature
+                feature_names = [h for h in header if h not in (label_column, "tag")]
+            else:
+                missing = [c for c in columns if c not in header]
+                if missing:
+                    raise DataError(f"{path}: missing columns {missing}")
+                feature_names = list(columns)
+            if label_column is not None and label_column not in header:
+                raise DataError(f"{path}: missing label column {label_column!r}")
+            layout = _Layout(
+                n_commas=len(header) - 1,
+                feat_idx=[header.index(c) for c in feature_names],
+                label_idx=header.index(label_column) if label_column else None,
+                normal=frozenset(normal_values),
+            )
+            parts = list(_read_chunks(fh, layout))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not sum(p[0].shape[0] for p in parts):
         raise DataError(f"{path}: no usable rows")
-    return FeatureMatrix(
-        features=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
-        feature_names=feature_names,
-    ), dropped
+    labels = None
+    if layout.label_idx is not None:
+        labels = np.concatenate([p[1] for p in parts])
+    return FeatureMatrix(features=np.concatenate([p[0] for p in parts]), labels=labels,
+                         feature_names=feature_names), sum(p[2] for p in parts)
+
+
+_CHUNK_BYTES = 1 << 20  # size hint for fh.readlines(): one np.loadtxt batch
+# '"' may open a field that spans lines; np.loadtxt cuts a field at NUL and
+# strips \x1c-\x1f as whitespace, where csv and float() do not
+_LINE_SPLIT_UNSAFE = '"\x00\x1c\x1d\x1e\x1f'
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+_NUMPY_ROW = re.compile(r"\bat row (\d+)")
+
+
+class _Layout(typing.NamedTuple):
+    """Where load_csv finds its values in a row."""
+
+    n_commas: int
+    feat_idx: list
+    label_idx: int | None
+    normal: frozenset
+
+
+def _row_values(raw, layout):
+    """The per-row rule on one csv.reader row: (features, is_anomaly), or
+    None when the row ends before a selected column or the label, or a
+    selected value is unparseable or non-finite."""
+    try:
+        vals = [float(raw[i]) for i in layout.feat_idx]
+        label = None if layout.label_idx is None else raw[layout.label_idx].strip()
+    except (ValueError, IndexError):
+        return None
+    if not all(map(math.isfinite, vals)):
+        return None
+    return vals, label not in layout.normal
+
+
+def _read_chunks(fh, layout):
+    """(features, is_anomaly, dropped) for each chunk of fh's remaining
+    lines, in file order."""
+    for chunk in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
+        text = "".join(chunk)
+        if any(c in text for c in _LINE_SPLIT_UNSAFE):
+            yield _rule_rows(csv.reader(itertools.chain(chunk, fh)), layout)
+            return
+        yield _parse_lines(chunk, layout)
+
+
+def _rule_rows(reader, layout):
+    """Every row of a csv.reader by the per-row rule."""
+    rows, anomalous, dropped = [], [], 0
+    for raw in reader:
+        if not raw:
+            continue
+        row = _row_values(raw, layout)
+        if row is None:
+            dropped += 1
+        else:
+            rows.append(row[0])
+            anomalous.append(row[1])
+    return (np.array(rows, dtype=np.float64).reshape(len(rows), len(layout.feat_idx)),
+            np.array(anomalous, dtype=np.int64), dropped)
+
+
+def _parse_lines(lines, layout):
+    """One chunk of quote-free lines. Lines with the header's comma count
+    go through np.loadtxt; the rest, and the lines numpy rejects, through
+    csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
+    finite mask removes them with the NaN/inf rows numpy parsed."""
+    n = len(lines)
+    commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
+    blank = np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
+    regular = np.flatnonzero((commas == layout.n_commas) & ~blank)
+    slow = ~blank
+    values = np.full((n, len(layout.feat_idx)), np.nan)
+    anomalous = np.zeros(n, dtype=np.int64)
+    if regular.size:
+        batch = lines if regular.size == n else [lines[i] for i in regular.tolist()]
+        rejected = _loadtxt_rows(batch, layout.feat_idx, values, regular)
+        slow[regular] = False
+        slow[regular[rejected]] = True
+        if layout.label_idx is not None:
+            text = np.loadtxt(batch, delimiter=",", usecols=layout.label_idx,
+                              dtype=str, comments=None, ndmin=1)
+            anomalous[regular] = ~np.isin(np.char.strip(text), list(layout.normal))
+    for i in np.flatnonzero(slow).tolist():
+        row = _row_values(next(csv.reader([lines[i]])), layout)
+        if row is not None:
+            values[i], anomalous[i] = row
+    keep = ~blank & np.isfinite(values).all(axis=1)
+    return values[keep], anomalous[keep], int(n - blank.sum() - keep.sum())
+
+
+def _loadtxt_rows(lines, feat_idx, out, rows):
+    """Parse lines with np.loadtxt into out[rows]. Returns the positions in
+    lines that numpy rejected; their rows of out are left as they were.
+
+    numpy's ValueError names the bad row ("... at row 1, column 2"), so
+    parsing resumes after it. Without a row number, or when the rows before
+    the named one do not parse either, every line from there on counts as
+    rejected, so the result never rests on numpy's wording.
+    """
+    rejected, start = [], 0
+    for _ in range(len(lines)):  # a pass parses the rest or rejects a line
+        if start == len(lines):
+            break
+        try:
+            out[rows[start:]] = _loadtxt(lines[start:], feat_idx)
+            break
+        except ValueError as exc:
+            found = _NUMPY_ROW.search(str(exc))
+            stop = start + int(found.group(1)) if found else len(lines)
+            try:
+                if start < stop < len(lines):
+                    out[rows[start:stop]] = _loadtxt(lines[start:stop], feat_idx)
+            except ValueError:
+                stop = len(lines)
+            if stop >= len(lines):
+                rejected.extend(range(start, len(lines)))
+                break
+            rejected.append(stop)
+            start = stop + 1
+    return rejected
+
+
+def _loadtxt(lines, feat_idx):
+    # comments=None: the default "#" would cut a row short
+    return np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None,
+                      ndmin=2, dtype=np.float64)
 
 
 def save_csv(data: FeatureMatrix, path, label_column="label"):
     """Write a FeatureMatrix back out as a headered CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         names = data.feature_names or [f"f{j}" for j in range(data.n_features)]
         header = list(names)
@@ -138,6 +262,17 @@ def save_csv(data: FeatureMatrix, path, label_column="label"):
             if data.tags is not None:
                 row.append(str(data.tags[i]))
             writer.writerow(row)
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """Open an output file for writing text with "\\n" line ends. A failed
+    open or write is a DataError naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def read_json(path, what):

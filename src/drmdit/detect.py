@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autoenc, robust
+from .data import open_output
 from .errors import ParameterError
 
 SCORING_MODES = ("robust_md", "classical_md", "euclidean_recon")
@@ -36,7 +37,7 @@ class ScoreReport:
     transformed_scores: np.ndarray
     predictions: np.ndarray
     tags: list
-    band: ScoreBand
+    band: ScoreBand | None  # None: scored without a band (cli score)
     scoring_mode: str
     labels: np.ndarray | None = None
     metrics: dict | None = None
@@ -201,7 +202,7 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
     center = model.train_score_medians.get(mode, float(np.median(s)))
     report = ScoreReport(
         scores=s, transformed_scores=fold_scores(s, center),
-        predictions=predictions, tags=list(tags), band=band,
+        predictions=predictions, tags=tags.tolist(), band=band,
         scoring_mode=mode, labels=labels,
     )
     if labels is not None:
@@ -212,34 +213,31 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
 
 
 def emit_report(report: ScoreReport, path_prefix):
-    """Write {prefix}.report.json and {prefix}.trace.csv (plot-ready)."""
+    """Write {prefix}.report.json, the run's summary, and {prefix}.trace.csv,
+    one plot-ready line per scored row. A write failure is a DataError."""
     doc = {
         "scoring_mode": report.scoring_mode,
-        "band": {"low": report.band.low, "high": report.band.high},
+        "band": None if report.band is None else {"low": report.band.low,
+                                                   "high": report.band.high},
         "n_samples": int(report.scores.size),
         "metrics": report.metrics,
-        "scores": [float(v) for v in report.scores],
-        "predictions": report.predictions.tolist(),
-        "tags": list(report.tags),
     }
-    if report.labels is not None:
-        doc["labels"] = report.labels.tolist()
     report_path = f"{path_prefix}.report.json"
     trace_path = f"{path_prefix}.trace.csv"
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with open_output(report_path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-        cols = ["index", "score", "transformed_score"]
-        if report.labels is not None:
-            cols.append("label")
-        cols += ["prediction", "tag"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(report.scores.size):
-            row = [str(i), repr(float(report.scores[i])),
-                   repr(float(report.transformed_scores[i]))]
-            if report.labels is not None:
-                row.append(str(int(report.labels[i])))
-            row += [str(int(report.predictions[i])), report.tags[i]]
-            fh.write(",".join(row) + "\n")
+    header = ["index", "score", "transformed_score"]
+    columns = [map(str, range(report.scores.size)),
+               map(repr, np.asarray(report.scores, dtype=np.float64).tolist()),
+               map(repr, np.asarray(report.transformed_scores, dtype=np.float64).tolist())]
+    if report.labels is not None:
+        header.append("label")
+        columns.append(map(str, np.asarray(report.labels, dtype=np.int64).tolist()))
+    header += ["prediction", "tag"]
+    columns += [map(str, np.asarray(report.predictions, dtype=np.int64).tolist()),
+                report.tags]
+    with open_output(trace_path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     return report_path, trace_path

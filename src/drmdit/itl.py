@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError
+from .errors import DataError, DegeneracyError, ParameterError
 from .ndmath import NormalizedGram, gaussian_gram, pairwise_sq_dists
 
 ENTROPY_FLOOR = 1e-3  # bits; keeps the MI ratio finite for collapsed batches
@@ -30,6 +30,8 @@ def _check_samples(m, name):
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ParameterError(f"{name} must be a non-empty N x d matrix, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError(f"non-finite values in {name}")
     return a
 
 

@@ -339,7 +339,7 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def save_checkpoint(model: TrainedModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with data.open_output(path) as fh:
         json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
         fh.write("\n")
 

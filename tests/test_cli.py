@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -203,3 +204,83 @@ def test_bad_json_input_exit_codes(runner, synth_csv, tmp_path, command, flag,
     result = runner.invoke(main, args)
     assert result.exit_code == code, result.output
     assert result.output.startswith("error: ")
+
+
+def test_score_report_is_a_band_less_summary(runner, trained_checkpoint, synth_csv,
+                                             tmp_path):
+    result = runner.invoke(main, [
+        "score", "--model", str(trained_checkpoint), "--data", str(synth_csv),
+        "--out", str(tmp_path / "s"),
+    ])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((tmp_path / "s.report.json").read_text())
+    assert doc == {"band": None, "metrics": None, "n_samples": 380,
+                   "scoring_mode": "robust_md"}
+    lines = (tmp_path / "s.trace.csv").read_text().splitlines()
+    assert lines[0] == "index,score,transformed_score,prediction,tag"
+    assert len(lines) == 381
+    assert all(line.endswith(",0,-") for line in lines[1:])
+
+
+def test_score_dirty_fixture_keeps_the_rows_load_csv_keeps(runner, trained_checkpoint,
+                                                           tmp_path):
+    fixture = os.path.join(os.path.dirname(__file__), "data", "dirty_flows.csv")
+    kept, dropped = data_mod.load_csv(fixture, columns=["f0", "f1", "f2", "f3"])
+    result = runner.invoke(main, [
+        "score", "--model", str(trained_checkpoint), "--data", fixture,
+        "--out", str(tmp_path / "d"),
+    ])
+    assert result.exit_code == 0, result.output
+    assert f"dropped {dropped} " in result.output
+    lines = (tmp_path / "d.trace.csv").read_text().splitlines()
+    assert len(lines) == kept.n_rows + 1
+
+
+def _out_in_missing_dir(tmp_path, name):
+    return str(tmp_path / "no-such-dir" / name)
+
+
+@pytest.mark.parametrize("command", ["train", "score", "eval", "sweep", "synth"])
+def test_unwritable_output_exits_3(runner, trained_checkpoint, synth_csv, tmp_path,
+                                   command):
+    out = _out_in_missing_dir(tmp_path, "out")
+    args = {
+        "train": ["train", "--data", str(synth_csv), "--features",
+                  _features_json(tmp_path), "--out", out],
+        "score": ["score", "--model", str(trained_checkpoint), "--data",
+                  str(synth_csv), "--out", out],
+        "eval": ["eval", "--model", str(trained_checkpoint), "--data",
+                 str(synth_csv), "--labels", "label", "--out", out],
+        "sweep": ["sweep", "--data", str(synth_csv), "--features",
+                  _features_json(tmp_path), "--sigma", "0.2", "--epochs", "1",
+                  "--out", out],
+        "synth": ["synth", "--out", out],
+    }[command]
+    if command == "train":
+        cfg = tmp_path / "quick.json"
+        cfg.write_text(json.dumps({"epochs": 1, "batch_size": 64, "latent_dim": 2}))
+        args += ["--config", str(cfg)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "error: cannot write " in result.output
+    assert "no-such-dir" in result.output
+
+
+def test_sweep_non_numeric_sigma_exits_2(runner, synth_csv, tmp_path):
+    result = runner.invoke(main, [
+        "sweep", "--data", str(synth_csv), "--sigma", "abc",
+        "--out", str(tmp_path / "sweep.csv"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "--sigma" in result.output
+
+
+def test_invalid_utf8_csv_exits_3(runner, trained_checkpoint, tmp_path):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"f0,f1,f2,f3\n0.1,0.2,0.3,0.4\n\xe9,0.2,0.3,0.4\n")
+    result = runner.invoke(main, [
+        "score", "--model", str(trained_checkpoint), "--data", str(bad),
+        "--out", str(tmp_path / "s"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert "latin1.csv" in result.output

@@ -1,5 +1,10 @@
+import csv
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from drmdit import data
 from drmdit.errors import DataError, ParameterError
@@ -59,6 +64,153 @@ def test_load_csv_errors(tmp_path):
     no_rows.write_text("a,b\nx,y\n")
     with pytest.raises(DataError):
         data.load_csv(no_rows)
+
+
+def _reference_load_csv(path, label_column=None, columns=None,
+                        normal_values=data.DEFAULT_NORMAL_VALUES):
+    """The row-at-a-time csv.reader loader that load_csv replaces: the
+    oracle for its row selection, values, labels and drop count."""
+    if not os.path.exists(path):
+        raise DataError(f"no such file: {path}")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file (missing header)") from None
+        header = [h.strip() for h in header]
+        if columns is None:
+            feature_names = [h for h in header if h not in (label_column, "tag")]
+        else:
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing}")
+            feature_names = list(columns)
+        if label_column is not None and label_column not in header:
+            raise DataError(f"{path}: missing label column {label_column!r}")
+        feat_idx = [header.index(c) for c in feature_names]
+        label_idx = header.index(label_column) if label_column else None
+
+        rows, labels, dropped = [], [], 0
+        normal_set = set(normal_values)
+        for raw in reader:
+            if not raw:
+                continue
+            try:
+                vals = [float(raw[i]) for i in feat_idx]
+                label = None if label_idx is None else raw[label_idx].strip()
+            except (ValueError, IndexError):
+                dropped += 1
+                continue
+            if not all(np.isfinite(vals)):
+                dropped += 1
+                continue
+            rows.append(vals)
+            if label_idx is not None:
+                labels.append(0 if label in normal_set else 1)
+    if not rows:
+        raise DataError(f"{path}: no usable rows")
+    return data.FeatureMatrix(
+        features=np.asarray(rows, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64) if label_idx is not None else None,
+        feature_names=feature_names,
+    ), dropped
+
+
+def _outcome(loader, path, **kwargs):
+    try:
+        fm, dropped = loader(path, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the oracle's failures are compared too
+        return type(exc), str(exc)
+    labels = None if fm.labels is None else fm.labels.tolist()
+    return fm.features, labels, fm.feature_names, dropped
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "x", "", " 1 ", "#",
+                     "2#3", "1_000", "0x10", "\u0661", "\u00a02", "1\x1c", "1 2"]),
+)
+_LABELS = st.sampled_from(["0", "1", "Benign", "Attack", " benign ", "normal ",
+                           "x y", ""])
+_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def _csv_case(draw):
+    names = [f"c{j}" for j in range(draw(st.integers(1, 4)))]
+    label_column = draw(st.sampled_from([None, "label"]))
+    header = list(names)
+    if label_column:
+        header.insert(draw(st.integers(0, len(header))), label_column)
+    columns = None
+    if draw(st.booleans()):
+        columns = draw(st.lists(st.sampled_from(names), min_size=1,
+                                max_size=len(names), unique=True))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["clean"] * 6 + ["short", "long", "blank",
+                                                      "space", "quoted"]))
+        cells = [draw(_LABELS) if h == label_column else draw(_CELLS) for h in header]
+        if kind == "short":
+            cells = cells[:draw(st.integers(0, len(cells) - 1))]
+        elif kind == "long":
+            cells += [draw(_CELLS)]
+        elif kind == "blank":
+            cells = []
+        elif kind == "space":
+            cells = ["  "]
+        elif kind == "quoted":
+            at = draw(st.integers(0, len(cells) - 1))
+            cells[at] = draw(st.sampled_from(['"1.5"', '"x\ny"', '"3\r\n"', '"a,b"']))
+        lines.append(",".join(cells))
+    endings = [draw(_ENDINGS) for _ in lines]
+    if not draw(st.booleans()):
+        endings[-1] = ""  # no newline at the end of the file
+    text = "".join(line + end for line, end in zip(lines, endings))
+    chunk_bytes = draw(st.sampled_from([1, 7, 40, 1 << 20]))
+    return text, label_column, columns, chunk_bytes
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_csv_case())
+def test_load_csv_matches_row_reference(tmp_path, case):
+    text, label_column, columns, chunk_bytes = case
+    path = tmp_path / "case.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    expected = _outcome(_reference_load_csv, path, label_column=label_column,
+                        columns=columns)
+    with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes):
+        got = _outcome(data.load_csv, path, label_column=label_column, columns=columns)
+    if isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert np.array_equal(got[0], expected[0], equal_nan=True)
+        assert got[0].shape == expected[0].shape
+        assert got[1:] == expected[1:]
+
+
+def test_load_csv_dirty_fixture_matches_row_reference():
+    # NaN, +-inf, text cells, short rows, a row ending before the label,
+    # CRLF and bare-CR endings, '#', and a quoted field holding a newline
+    path = os.path.join(os.path.dirname(__file__), "data", "dirty_flows.csv")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    for chunk_bytes in (1, 64, 1 << 20):
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes):
+            got = _outcome(data.load_csv, path, label_column="label")
+        assert np.array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:]
+    assert got[0].shape[1] == 4 and got[3] == expected[3] > 0
+
+
+def test_load_csv_invalid_utf8_is_data_error(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"a,b\n1,2\n\xe9,4\n")
+    with pytest.raises(DataError, match="latin1.csv"):
+        data.load_csv(p)
 
 
 def test_save_csv_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from drmdit import itl, ndmath
-from drmdit.errors import DegeneracyError, ParameterError
+from drmdit.errors import DataError, DegeneracyError, ParameterError
 from drmdit.ndmath import NormalizedGram
 
 
@@ -101,6 +101,15 @@ def test_cs_divergence_large_for_distant_sets():
 def test_cs_divergence_dim_mismatch():
     with pytest.raises(ParameterError):
         itl.cs_divergence_sample(np.zeros((3, 2)), np.zeros((3, 3)), 0.5)
+
+
+def test_sample_estimators_reject_non_finite_samples():
+    with pytest.raises(DataError):
+        itl.renyi2_sample([[np.nan], [1.0]], 1.0)
+    with pytest.raises(DataError):
+        itl.cs_divergence_sample([[np.inf]], [[1.0]], 1.0)
+    with pytest.raises(DataError):
+        itl.cs_divergence_sample([[1.0]], [[-np.inf]], 1.0)
 
 
 def test_estimators_permutation_invariant():
