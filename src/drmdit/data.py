@@ -110,6 +110,8 @@ def load_csv(path, label_column=None, columns=None,
             parts = list(_read_chunks(fh, layout))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:  # a directory, an unreadable file
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     if not sum(p[0].shape[0] for p in parts):
         raise DataError(f"{path}: no usable rows")
     labels = None

@@ -133,11 +133,15 @@ def auc(scores, labels, center=None):
 
 
 def select_band(scores, labels) -> ScoreBand:
-    """Exhaustive two-sided band search maximizing anomaly-class F1.
+    """The two-sided band whose anomaly-class F1 is exactly the largest.
 
-    Candidate edges are midpoints between consecutive sorted scores plus
-    one sentinel beyond each extreme. Ties break toward the fewest flagged
-    anomalies, then the numerically widest band.
+    Edges fall only between distinct scores, at their midpoints, or half the
+    spread beyond each extreme, so equal scores are flagged together, as
+    classify flags them, and at least one value stays inside. F1 =
+    2 tp / (flagged + P) is a ratio of sums that each split into a low-cut
+    and a high-cut part, so Dinkelbach's method finds the optimum in integer
+    arithmetic, one prefix maximum per step. Ties break toward the fewest
+    flagged, then the widest band, then the lowest cuts.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -145,49 +149,37 @@ def select_band(scores, labels) -> ScoreBand:
         raise ParameterError("scores/labels length mismatch")
     if len(np.unique(y)) < 2:
         raise ParameterError("band selection needs both classes present")
-    order = np.argsort(s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    n = s.size
-    spread = s_sorted[-1] - s_sorted[0]
+    values, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    pos = np.bincount(group, weights=y, minlength=values.size).astype(np.int64)
+    spread = values[-1] - values[0]
     margin = 0.5 * spread if spread > 0 else 1.0
-    # candidate low edges: below min, then midpoints; cut position i means
-    # the i smallest scores fall below the band
-    mids = 0.5 * (s_sorted[:-1] + s_sorted[1:])
-    lows = np.concatenate([[s_sorted[0] - margin], mids])
-    highs = np.concatenate([mids, [s_sorted[-1] + margin]])
-
-    pos_prefix = np.concatenate([[0], np.cumsum(y_sorted)])  # anomalies among i smallest
-    total_pos = pos_prefix[-1]
-    # low cut i in 0..n-1 flags the i smallest; high cut j flags the n-1-j largest
-    max_cuts = 1200  # keeps the n^2 pair scan bounded on large inputs
-    if n <= max_cuts:
-        i_idx = np.arange(n)
-        j_idx = np.arange(n)
-    else:
-        i_idx = np.unique(np.linspace(0, n - 1, max_cuts).astype(np.int64))
-        j_idx = i_idx
-    lows = lows[i_idx]
-    highs = highs[j_idx]
-    below_pos = pos_prefix[i_idx]
-    above_pos = (total_pos - pos_prefix[j_idx + 1])
-    tp = below_pos[:, None] + above_pos[None, :]
-    flagged = i_idx[:, None] + (n - 1 - j_idx)[None, :]
-    valid = i_idx[:, None] <= j_idx[None, :]  # band must be non-empty interval
-    fp = flagged - tp
-    fn = total_pos - tp
-    denom = 2.0 * tp + fp + fn
-    with np.errstate(invalid="ignore", divide="ignore"):
-        f1 = np.where(denom > 0, 2.0 * tp / np.maximum(denom, 1e-300), 0.0)
-    f1 = np.where(valid, f1, -1.0)
-    best_f1 = f1.max()
-    cand = np.argwhere(f1 >= best_f1 - 1e-12)
-    # fewest flagged, then widest numeric band
-    flag_counts = flagged[cand[:, 0], cand[:, 1]]
-    cand = cand[flag_counts == flag_counts.min()]
-    widths = highs[cand[:, 1]] - lows[cand[:, 0]]
-    i, j = cand[np.argmax(widths)]
-    return ScoreBand(low=float(lows[i]), high=float(highs[j]))
+    mids = 0.5 * (values[:-1] + values[1:])
+    lows = np.concatenate([[values[0] - margin], mids])
+    highs = np.concatenate([mids, [values[-1] + margin]])
+    # anomalies and rows flagged by low cut i (groups < i) and high cut j (> j)
+    tp_low = np.cumsum(pos) - pos
+    n_low = np.cumsum(counts) - counts
+    total_pos = int(tp_low[-1] + pos[-1])
+    tp_high = total_pos - tp_low - pos
+    n_high = s.size - n_low - counts
+    num, den = 0, total_pos  # F1 of flagging nothing
+    while True:  # is some pair's F1 above num/den? then it is the new num/den
+        best_low = np.maximum.accumulate(den * 2 * tp_low - num * n_low)
+        gain = best_low + den * 2 * tp_high - num * (n_high + total_pos)
+        j = int(np.argmax(gain))
+        if gain[j] <= 0:
+            break
+        i = int(np.searchsorted(best_low, best_low[j]))
+        num = 2 * int(tp_low[i] + tp_high[j])
+        den = int(n_low[i] + n_high[j]) + total_pos
+    # for each optimal j the fewest flagged i is the first reaching the prefix max
+    j = np.flatnonzero(gain == 0)
+    i = np.searchsorted(best_low, best_low[j])
+    flagged = n_low[i] + n_high[j]
+    fewest = flagged == flagged.min()
+    i, j = i[fewest], j[fewest]
+    k = np.lexsort((j, i, lows[i] - highs[j]))[0]  # widest, then lowest (i, j)
+    return ScoreBand(low=float(lows[i[k]]), high=float(highs[j[k]]))
 
 
 def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:

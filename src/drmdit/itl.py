@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegeneracyError, ParameterError
-from .ndmath import NormalizedGram, gaussian_gram, pairwise_sq_dists
+from .ndmath import NormalizedGram, _check_sigma, gaussian_gram, pairwise_sq_dists
 
 ENTROPY_FLOOR = 1e-3  # bits; keeps the MI ratio finite for collapsed batches
 LN2 = math.log(2.0)
@@ -50,8 +50,7 @@ def _log_mean_kernel(x, z, sigma):
         raise ParameterError(
             f"dimension mismatch: x has {x.shape[1]} columns, z has {z.shape[1]}"
         )
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    sigma = _check_sigma(sigma)
     e = pairwise_sq_dists(x, z)
     if same:
         np.fill_diagonal(e, 0.0)

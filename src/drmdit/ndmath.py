@@ -5,6 +5,7 @@ with a fixed summation/broadcast order so repeated calls are bit-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,16 @@ def _as_matrix(x, name="input"):
     if a.ndim != 2:
         raise ParameterError(f"{name} must be 2-d, got shape {a.shape}")
     return a
+
+
+def _check_sigma(sigma):
+    """sigma as a float; ParameterError unless sigma > 0 and sigma^2 and
+    1/sigma^2 are finite and nonzero (NaN fails every comparison)."""
+    if not (sigma > 0 and 0.0 < sigma * sigma < math.inf
+            and 1.0 / (sigma * sigma) < math.inf):
+        raise ParameterError(
+            f"sigma must be > 0 with sigma^2 and 1/sigma^2 finite and nonzero, got {sigma}")
+    return float(sigma)
 
 
 def pairwise_sq_dists(a, b):
@@ -75,8 +86,7 @@ def gaussian_gram(samples, sigma) -> GramMatrix:
     The density constant (2*pi*sigma^2)^(-d/2) is left out: every consumer
     normalizes it away, and at large d it overflows.
     """
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    sigma = _check_sigma(sigma)
     x = _as_matrix(samples, "samples")
     if x.shape[0] < 1 or x.shape[1] < 1:
         raise ParameterError(f"samples must be N>=1 x d>=1, got {x.shape}")
@@ -84,8 +94,8 @@ def gaussian_gram(samples, sigma) -> GramMatrix:
         raise DataError("non-finite values in kernel input")
     raw = pairwise_sq_dists(x, x)
     np.fill_diagonal(raw, 0.0)
-    raw *= -0.5 / (float(sigma) * float(sigma))
-    return GramMatrix(raw=np.exp(raw, out=raw), sigma=float(sigma))
+    raw *= -0.5 / (sigma * sigma)
+    return GramMatrix(raw=np.exp(raw, out=raw), sigma=sigma)
 
 
 def normalize_gram(g: GramMatrix) -> NormalizedGram:

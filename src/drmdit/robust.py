@@ -38,13 +38,6 @@ class ClassicalStats:
     cov_inv: np.ndarray
 
 
-def median(values):
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise ParameterError("median of empty input")
-    return float(np.median(v))
-
-
 def mad(values, floor=MAD_FLOOR):
     """Median absolute deviation from the median, clamped below at floor."""
     v = np.asarray(values, dtype=np.float64).ravel()

@@ -64,8 +64,7 @@ class TrainConfig:
     activation: str = "tanh"
 
     def validate(self):
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        ndmath._check_sigma(self.sigma)
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2 (robust stats need rows)")
         if self.mi_mode not in ("ratio", "additive"):

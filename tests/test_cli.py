@@ -84,6 +84,21 @@ def test_train_bad_config_exits_2(runner, synth_csv, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "NaN", "Infinity"])
+def test_train_unusable_sigma_exits_2(runner, synth_csv, tmp_path, sigma):
+    # 1e-300 squares to 0; NaN and Infinity are tokens Python's json accepts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"epochs": 1, "sigma": %s}' % sigma)
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, [
+        "train", "--data", str(synth_csv), "--config", str(cfg),
+        "--out", str(out), "--features", _features_json(tmp_path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "sigma" in result.output
+    assert not out.exists()
+
+
 def test_score_command(runner, trained_checkpoint, synth_csv, tmp_path):
     prefix = tmp_path / "scores"
     result = runner.invoke(main, [
@@ -273,6 +288,17 @@ def test_sweep_non_numeric_sigma_exits_2(runner, synth_csv, tmp_path):
     ])
     assert result.exit_code == 2, result.output
     assert "--sigma" in result.output
+
+
+def test_directory_as_data_exits_3(runner, trained_checkpoint, tmp_path):
+    folder = tmp_path / "flows"
+    folder.mkdir()
+    result = runner.invoke(main, [
+        "score", "--model", str(trained_checkpoint), "--data", str(folder),
+        "--out", str(tmp_path / "s"),
+    ])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: ") and "flows" in result.output
 
 
 def test_invalid_utf8_csv_exits_3(runner, trained_checkpoint, tmp_path):

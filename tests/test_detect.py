@@ -1,7 +1,10 @@
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from drmdit import autoenc, detect, robust, train
 from drmdit.errors import ParameterError
@@ -184,6 +187,66 @@ def test_select_band_large_input_subsampling():
     band = detect.select_band(scores, labels)
     preds, _ = detect.classify(scores, band)
     assert detect.metrics(preds, labels)["recall"] > 0.95
+
+
+def _best_band_by_enumeration(scores, labels):
+    """Every band with edges between distinct scores (midpoints, plus one
+    sentinel half the spread beyond each extreme), scored by what classify
+    flags, F1 compared as exact fractions. Ties: fewest flagged, then the
+    widest band, then the lowest (low, high) cut indices."""
+    values = np.unique(scores)
+    spread = values[-1] - values[0]
+    margin = 0.5 * spread if spread > 0 else 1.0
+    mids = 0.5 * (values[:-1] + values[1:])
+    lows = np.concatenate([[values[0] - margin], mids])
+    highs = np.concatenate([mids, [values[-1] + margin]])
+    n_pos = int(np.sum(labels))
+    best = None
+    for i in range(values.size):
+        for j in range(i, values.size):
+            band = detect.ScoreBand(float(lows[i]), float(highs[j]))
+            preds, _ = detect.classify(scores, band)
+            tp = int(np.sum(preds * labels))
+            flagged = int(np.sum(preds))
+            key = (Fraction(2 * tp, flagged + n_pos), -flagged, highs[j] - lows[i], -i, -j)
+            if best is None or key > best[0]:
+                best = (key, band)
+    return best[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels=st.lists(st.integers(0, 12), min_size=2, max_size=80),
+       flips=st.lists(st.booleans(), min_size=80, max_size=80),
+       scale=st.sampled_from([1.0, 0.37, 1e-3, 250.0]))
+def test_select_band_is_the_enumerated_optimum(levels, flips, scale):
+    scores = np.asarray(levels, dtype=np.float64) * scale
+    labels = np.asarray(flips[:scores.size], dtype=np.int64)
+    assume(0 < labels.sum() < labels.size)
+    assert detect.select_band(scores, labels) == _best_band_by_enumeration(scores, labels)
+
+
+def test_select_band_flags_equal_scores_together():
+    # three equal scores used to meet at one edge, low == high
+    scores = np.array([0.0, 1.0, 2.0, 2.0, 2.0])
+    labels = np.array([1, 1, 1, 0, 1])
+    band = detect.select_band(scores, labels)
+    assert (band.low, band.high) == (-1.0, 0.5)
+    preds, _ = detect.classify(scores, band)
+    assert preds.tolist() == [0, 1, 1, 1, 1]
+
+
+def test_select_band_memory_is_linear():
+    rng = np.random.default_rng(56)
+    n = 5000
+    scores = rng.normal(size=n)
+    labels = (np.abs(scores) > 1.5).astype(np.int64)
+    tracemalloc.start()
+    try:
+        detect.select_band(scores, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n * 8
 
 
 def test_evaluate_and_emit_report(small_model, tmp_path):

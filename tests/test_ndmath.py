@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drmdit import ndmath
+from drmdit import itl, ndmath
 from drmdit.errors import DataError, ParameterError
 
 
@@ -86,6 +86,15 @@ def test_gaussian_gram_rejects_bad_input():
         ndmath.gaussian_gram([[0.0]], sigma=0.0)
     with pytest.raises(DataError):
         ndmath.gaussian_gram([[np.nan]], sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, np.nan, np.inf, 1e200, -0.1])
+def test_kernels_reject_unusable_sigma(sigma):
+    # sigma^2 or 1/sigma^2 not finite and positive: 0 * inf or 0 / 0 follows
+    with pytest.raises(ParameterError, match="sigma"):
+        ndmath.gaussian_gram([[0.0], [1.0]], sigma=sigma)
+    with pytest.raises(ParameterError, match="sigma"):
+        itl.renyi2_sample([[0.0], [1.0]], sigma=sigma)
 
 
 def test_normalize_gram_single_sample():

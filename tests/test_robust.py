@@ -5,23 +5,6 @@ from drmdit import robust
 from drmdit.errors import ParameterError
 
 
-def test_median_odd():
-    assert robust.median([1, 3, 2]) == 2
-
-
-def test_median_even_average():
-    assert robust.median([1, 2, 3, 4]) == 2.5
-
-
-def test_median_constant():
-    assert robust.median([5, 5, 5]) == 5
-
-
-def test_median_empty():
-    with pytest.raises(ParameterError):
-        robust.median([])
-
-
 def test_mad_hand_case():
     # [1, 2, 4, 8]: median 3, |dev| = [2, 1, 1, 5], MAD = 1.5
     assert robust.mad([1, 2, 4, 8]) == pytest.approx(1.5)
