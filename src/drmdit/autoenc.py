@@ -176,5 +176,6 @@ def backward(params: NetworkParams, trace: ForwardTrace,
         d_pre = d_h * _act_deriv(params.activation, trace.enc_pre[l])
         grads.weights[l] += d_pre.T @ trace.enc_act[l]
         grads.biases_enc[l] += d_pre.sum(axis=0)
-        d_h = d_pre @ params.weights[l]
+        if l:  # nothing needs the gradient w.r.t. the input batch
+            d_h = d_pre @ params.weights[l]
     return grads

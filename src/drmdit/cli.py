@@ -78,9 +78,10 @@ def main():
 def cli_train(data_path, features_json, config_json, out_path, seed):
     """Train on normal data and write a JSON checkpoint."""
     try:
-        dataset = _load_dataset(data_path, features_json)
         doc = {"seed": seed, **_read_json(config_json, "--config")}
         config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
+        config.validate()  # before the CSV is read
+        dataset = _load_dataset(data_path, features_json)
         if dataset.labels is not None:
             keep = np.nonzero(dataset.labels == 0)[0]
             click.echo(f"training on {keep.size} normal rows "

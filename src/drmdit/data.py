@@ -72,7 +72,9 @@ def load_csv(path, label_column=None, columns=None,
     Rows that end before a selected column or the label, or whose selected
     values are unparseable or non-finite, are dropped; the drop count is
     returned alongside. Blank lines are skipped and not counted. Label
-    values in normal_values map to 0, everything else to 1.
+    values in normal_values map to 0, everything else to 1. When neither
+    columns nor label_column is given, a "label" column (the layout
+    save_csv writes) is the label column, not a feature.
 
     The file is read in chunks of lines. Lines with the header's field
     count go to np.loadtxt in one batch; a line numpy rejects, and every
@@ -91,6 +93,8 @@ def load_csv(path, label_column=None, columns=None,
             if header is None:
                 raise DataError(f"{path}: empty file (missing header)")
             header = [h.strip() for h in header]
+            if columns is None and label_column is None and "label" in header:
+                label_column = "label"
             if columns is None:
                 # "tag" is the provenance column save_csv writes; never a feature
                 feature_names = [h for h in header if h not in (label_column, "tag")]

@@ -96,7 +96,7 @@ def cs_divergence_sample(x, z, sigma):
     return max(val, 0.0)
 
 
-def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio"):
+def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", out=None):
     """Matrix-based MI between a fixed input Gram and the latent batch,
     plus its gradient with respect to the latent rows.
 
@@ -110,7 +110,9 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio"):
 
     mode "ratio" is the paper's log2(Hx * Hz / Hxz^2) over entropies
     floored at ENTROPY_FLOOR; "additive" is the ablation Hx + Hz - Hxz.
-    Returns (mi, grad_z, (hx, hz, hxz)) with the unfloored entropies.
+    The one N x N temporary (K, then K * K, then P * P) is built in out
+    when given. Returns (mi, grad_z, (hx, hz, hxz)) with the unfloored
+    entropies.
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[0]
@@ -123,7 +125,7 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio"):
     # off-diagonal squares (the diagonal of zhat is constant), each applied
     # to [z, 1] in one pass: the last column holds the row sums
     z1 = np.hstack([z, np.ones((n, 1))])
-    kk = gaussian_gram(z, sigma).raw
+    kk = gaussian_gram(z, sigma, out=out).raw
     np.square(kk, out=kk)
     np.fill_diagonal(kk, 0.0)
     k2z = kk @ z1

@@ -47,7 +47,7 @@ def _check_sigma(sigma):
     return float(sigma)
 
 
-def pairwise_sq_dists(a, b):
+def pairwise_sq_dists(a, b, out=None):
     """Squared Euclidean distances between rows of a and rows of b.
 
     Both sets are centered on a's column mean, which limits cancellation.
@@ -55,7 +55,8 @@ def pairwise_sq_dists(a, b):
     of the lifted rows [a_i, ||a_i||^2, 1] and [-2 b_j, 1, ||b_j||^2], and
     is clamped at 0. Memory is O((N + M) d + N M). A self-distance
     matrix is symmetric and zero on the diagonal only to rounding; callers
-    that need exact zeros set them.
+    that need exact zeros set them. The N x M result is written into out
+    when given (a C-contiguous float64 array), and returned.
     """
     same = b is a
     a = _as_matrix(a, "a")
@@ -75,16 +76,17 @@ def pairwise_sq_dists(a, b):
         rhs[:, d + 1] = np.einsum("ij,ij->i", bc, bc)
         bc *= -2.0
     rhs[:, d] = 1.0
-    sq = lhs @ rhs.T
+    sq = np.matmul(lhs, rhs.T, out=out)
     return np.maximum(sq, 0.0, out=sq)
 
 
-def gaussian_gram(samples, sigma) -> GramMatrix:
+def gaussian_gram(samples, sigma, out=None) -> GramMatrix:
     """Gram matrix of the isotropic Gaussian kernel over sample rows.
 
     raw[i, j] = exp(-||x_i - x_j||^2 / (2*sigma^2)), with diagonal exactly 1.
     The density constant (2*pi*sigma^2)^(-d/2) is left out: every consumer
-    normalizes it away, and at large d it overflows.
+    normalizes it away, and at large d it overflows. raw is built in out
+    when given (N x N, as for pairwise_sq_dists).
     """
     sigma = _check_sigma(sigma)
     x = _as_matrix(samples, "samples")
@@ -92,7 +94,7 @@ def gaussian_gram(samples, sigma) -> GramMatrix:
         raise ParameterError(f"samples must be N>=1 x d>=1, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite values in kernel input")
-    raw = pairwise_sq_dists(x, x)
+    raw = pairwise_sq_dists(x, x, out=out)
     np.fill_diagonal(raw, 0.0)
     raw *= -0.5 / (sigma * sigma)
     return GramMatrix(raw=np.exp(raw, out=raw), sigma=sigma)

@@ -36,6 +36,8 @@ class LossWeights:
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             if not np.isfinite(v) or v < 0:
                 raise ParameterError(f"loss weight {name} must be finite and >= 0, got {v}")
+        if self.alpha == self.beta == self.gamma == 0:
+            raise ParameterError("loss weights alpha, beta and gamma are all 0: nothing to train")
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,34 @@ class TrainConfig:
     activation: str = "tanh"
 
     def validate(self):
+        """ParameterError for any field outside its range (NaN included)."""
         ndmath._check_sigma(self.sigma)
         if self.batch_size < 2:
             raise ParameterError("batch_size must be >= 2 (robust stats need rows)")
+        if self.epochs < 0:
+            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
+        for name, v in (("learning_rate", self.learning_rate),
+                        ("adam_epsilon", self.adam_epsilon)):
+            if not 0 < v < np.inf:
+                raise ParameterError(f"{name} must be finite and > 0, got {v}")
+        for name, v in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
+            if not 0 <= v < 1:
+                raise ParameterError(f"{name} must lie in [0, 1), got {v}")
+        if not 0 <= self.ridge_epsilon < np.inf:
+            raise ParameterError(
+                f"ridge_epsilon must be finite and >= 0, got {self.ridge_epsilon}")
         if self.mi_mode not in ("ratio", "additive"):
             raise ParameterError(f"mi_mode must be ratio|additive, got {self.mi_mode}")
+        widths = [self.latent_dim, *(self.hidden_dims or [])]
+        if min(widths) < 1:
+            raise ParameterError(
+                f"latent_dim and hidden_dims must be >= 1, got {self.latent_dim} "
+                f"and {self.hidden_dims}")
+        if self.activation not in autoenc.ACTIVATIONS:
+            raise ParameterError(
+                f"activation must be one of {autoenc.ACTIVATIONS}, got {self.activation!r}")
         self.weights.validate()
 
     def resolve_layer_dims(self, d):
@@ -108,14 +133,16 @@ def _md_term_with_grad(latents, stats):
 
 
 def joint_loss(params: NetworkParams, batch, config: TrainConfig,
-               stats=None, input_gram_norm=None):
+               stats=None, input_gram_norm=None, work=None):
     """One batch of the joint objective. Returns (LossBreakdown, Gradients).
 
     stats / input_gram_norm default to quantities computed from this batch;
     passing them in pins the loss to a frozen snapshot (used by the
-    finite-difference checks and by epoch-0 evaluation).
+    finite-difference checks and by epoch-0 evaluation). work, when given,
+    is a pair of N x N float64 buffers for the input Gram and the latent
+    kernel; the result is the same as without it. config is not validated
+    here: fit does that once.
     """
-    config.validate()
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[0] < 2:
         raise ParameterError(f"batch needs >= 2 rows, got {x.shape[0]}")
@@ -134,15 +161,18 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
 
     resid = recon - x
     recon_term = float(np.mean(resid * resid))
-    recon_grad = 2.0 * resid / resid.size
+    resid *= 2.0  # the gradient beta * (2 * resid / size), in place
+    resid /= resid.size
+    resid *= w.beta
 
+    gram_buf, latent_buf = work or (None, None)
     if w.gamma != 0.0:
         if input_gram_norm is None:
             # unit diagonal: dividing by N is the trace normalization
-            input_gram_norm = ndmath.gaussian_gram(x, config.sigma).raw
+            input_gram_norm = ndmath.gaussian_gram(x, config.sigma, out=gram_buf).raw
             input_gram_norm /= x.shape[0]
         mi_term, mi_grad_z, _ = matrix_mi_with_latent_grad(
-            input_gram_norm, z, config.sigma, mode=config.mi_mode
+            input_gram_norm, z, config.sigma, mode=config.mi_mode, out=latent_buf
         )
     else:
         mi_term, mi_grad_z = 0.0, np.zeros_like(z)
@@ -150,7 +180,7 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
     total = w.alpha * md_term + w.beta * recon_term - w.gamma * mi_term
     grad_latent = w.alpha * md_grad_z - w.gamma * mi_grad_z
     grads = autoenc.backward(params, trace, grad_wrt_latent=grad_latent,
-                             grad_wrt_recon=w.beta * recon_grad)
+                             grad_wrt_recon=resid)
     return LossBreakdown(md_term=md_term, recon_term=recon_term,
                          mi_term=mi_term, total=total), grads
 
@@ -232,15 +262,23 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
     if len(ends) > 1 and n - ends[-2] < max(2, config.batch_size // 2):
         # robust stats of a few rows are rank-deficient and blow up the loss
         del ends[-2]  # so a short tail joins the previous batch
+    starts = [0] + ends[:-1]
+    # The step's two N x N kernels (input Gram, latent kernel) are built in
+    # these for the whole run: fresh arrays of that size go back to the OS
+    # when freed, and every step would page-fault them in again.
+    side = max(end - start for start, end in zip(starts, ends))
+    flats = (np.empty(side * side), np.empty(side * side))
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         sums = np.zeros(4)
         n_batches = 0
-        for start, end in zip([0] + ends[:-1], ends):
+        for start, end in zip(starts, ends):
             batch = features[order[start:end]]
+            m = end - start
+            work = tuple(f[:m * m].reshape(m, m) for f in flats)
             try:
-                breakdown, grads = joint_loss(params, batch, config)
+                breakdown, grads = joint_loss(params, batch, config, work=work)
                 params, state = adam_step(params, grads, state, config)
             except (DegeneracyError, TrainingError) as exc:
                 raise TrainingError(
@@ -250,6 +288,7 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
                      breakdown.mi_term, breakdown.total)
             n_batches += 1
         history.append(LossBreakdown(*(sums / n_batches)))
+    flats = work = None  # freed before the full-set pass: not in its peak
     stats, cstats, medians = _freeze(params, features, config)
     return TrainedModel(params=params, robust_stats=stats, classical_stats=cstats,
                         config=config, loss_history=history,
@@ -343,6 +382,40 @@ def save_checkpoint(model: TrainedModel, path):
         fh.write("\n")
 
 
+def _check_shapes(model: TrainedModel):
+    """ValueError unless every array fits layer_dims: the network's, the
+    latent statistics' (width layer_dims[-1]) and the input records'."""
+    dims = model.params.layer_dims
+    if len(dims) < 2 or min(dims) < 1:
+        raise ValueError(f"layer_dims needs >= 2 positive widths, got {dims}")
+    d, k = dims[0], dims[-1]
+    expected = {
+        "weights": [(o, i) for i, o in zip(dims[:-1], dims[1:])],
+        "biases_enc": [(o,) for o in dims[1:]],
+        "biases_dec": [(i,) for i in dims[:-1]],
+        "robust_stats": [(k,), (k,), (k, k), (k, k)],
+        "classical_stats": [(k,), (k, k), (k, k)],
+    }
+    rs, cs = model.robust_stats, model.classical_stats
+    got = {
+        "weights": [w.shape for w in model.params.weights],
+        "biases_enc": [b.shape for b in model.params.biases_enc],
+        "biases_dec": [b.shape for b in model.params.biases_dec],
+        "robust_stats": [a.shape for a in (rs.medians, rs.mads, rs.corr, rs.corr_inv)],
+        "classical_stats": [a.shape for a in (cs.means, cs.cov, cs.cov_inv)],
+    }
+    if model.normalization is not None:  # (rows, the one row length)
+        expected["normalization"] = [(d, 2)]
+        got["normalization"] = [(len(model.normalization),
+                                 *{len(r) for r in model.normalization})]
+    if model.feature_names is not None:
+        expected["feature_names"] = [(d,)]
+        got["feature_names"] = [(len(model.feature_names),)]
+    for name, want in expected.items():
+        if got[name] != want:
+            raise ValueError(f"{name} shapes {got[name]} do not fit layer_dims {dims}")
+
+
 def model_from_dict(doc: dict) -> TrainedModel:
     """Inverse of model_to_dict; a malformed document is a ParameterError."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -370,13 +443,15 @@ def model_from_dict(doc: dict) -> TrainedModel:
                                           "checkpoint train_config")
         history = [LossBreakdown(**h) for h in doc["loss_history"]]
         norm = doc.get("normalization")
-        return TrainedModel(
+        model = TrainedModel(
             params=params, robust_stats=stats, classical_stats=cstats,
             config=config, loss_history=history,
             train_score_medians=dict(doc["train_score_medians"]),
             normalization=None if norm is None else [tuple(r) for r in norm],
             feature_names=doc.get("feature_names"),
         )
+        _check_shapes(model)
+        return model
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
 

@@ -99,6 +99,55 @@ def test_train_unusable_sigma_exits_2(runner, synth_csv, tmp_path, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    '{"epochs": -1}',  # was exit 0 with an untrained model
+    '{"learning_rate": -0.1}',  # was exit 4 after 97 epochs of ascent
+    '{"learning_rate": NaN}',
+    '{"adam_beta1": 1.0}',  # was exit 4: bias correction divides by 0
+    '{"adam_epsilon": 0}',  # was exit 0
+    '{"seed": -1}',  # was exit 1 from numpy's generator
+    '{"weights": {"alpha": 0, "beta": 0, "gamma": 0}}',  # was exit 0
+])
+def test_train_out_of_range_config_exits_2(runner, synth_csv, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, [
+        "train", "--data", str(synth_csv), "--config", str(cfg),
+        "--out", str(out), "--features", _features_json(tmp_path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_without_features_takes_the_label_column(runner, synth_csv, tmp_path):
+    # synth writes f0..f3,label,tag: label is the label, not a fifth feature
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 64, "latent_dim": 2}))
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, [
+        "train", "--data", str(synth_csv), "--config", str(cfg), "--out", str(out),
+    ])
+    assert result.exit_code == 0, result.output
+    assert "training on 300 normal rows (dropped 80 labeled anomalies)" in result.output
+    assert json.loads(out.read_text())["feature_names"] == ["f0", "f1", "f2", "f3"]
+
+
+def test_score_shape_mismatched_checkpoint_exits_2(runner, trained_checkpoint,
+                                                    synth_csv, tmp_path):
+    doc = json.loads(trained_checkpoint.read_text())
+    doc["weights"][0] = doc["weights"][0][:-1]  # was a broadcast ValueError, exit 1
+    bad = tmp_path / "cut.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [
+        "score", "--model", str(bad), "--data", str(synth_csv),
+        "--out", str(tmp_path / "s"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "malformed checkpoint" in result.output
+
+
 def test_score_command(runner, trained_checkpoint, synth_csv, tmp_path):
     prefix = tmp_path / "scores"
     result = runner.invoke(main, [

@@ -177,7 +177,7 @@ def test_select_band_single_class_error():
         detect.select_band([0.1, 0.2, 0.3], [0, 0, 0])
 
 
-def test_select_band_large_input_subsampling():
+def test_select_band_large_input_recall():
     rng = np.random.default_rng(54)
     n = 5000
     scores = np.concatenate([rng.normal(0.5, 0.05, n),

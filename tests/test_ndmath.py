@@ -47,6 +47,21 @@ def test_pairwise_sq_dists_memory_stays_quadratic():
     assert peak < 4 * n * n * 8
 
 
+def test_pairwise_sq_dists_writes_into_out():
+    rng = np.random.default_rng(6)
+    a, b = rng.normal(size=(40, 7)), rng.normal(size=(30, 7))
+    flat = np.full(64 * 64, np.nan)  # a larger buffer, as fit keeps it
+    for x, y in ((a, a), (a, b)):
+        out = flat[:x.shape[0] * y.shape[0]].reshape(x.shape[0], y.shape[0])
+        got = ndmath.pairwise_sq_dists(x, y, out=out)
+        assert got is out
+        assert np.array_equal(got, ndmath.pairwise_sq_dists(x, y))
+    buf = np.full((40, 40), np.nan)
+    gram = ndmath.gaussian_gram(a, 0.7, out=buf)
+    assert gram.raw is buf
+    assert np.array_equal(buf, ndmath.gaussian_gram(a, 0.7).raw)
+
+
 def test_gaussian_gram_zero_distance_value():
     g = ndmath.gaussian_gram([[0.0]], sigma=1.0)
     assert g.raw[0, 0] == pytest.approx(1.0, abs=1e-10)

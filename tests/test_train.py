@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,34 @@ def test_loss_weights_validate():
     with pytest.raises(ParameterError):
         train.LossWeights(alpha=-0.1).validate()
     train.LossWeights().validate()
+
+
+@pytest.mark.parametrize("bad", [
+    {"epochs": -1},
+    {"seed": -1},
+    {"learning_rate": -0.1},
+    {"learning_rate": 0.0},
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"adam_beta1": 1.0},
+    {"adam_beta1": -0.1},
+    {"adam_beta2": 1.5},
+    {"adam_epsilon": 0.0},
+    {"ridge_epsilon": -1e-6},
+    {"ridge_epsilon": float("nan")},
+    {"latent_dim": 0},
+    {"hidden_dims": [4, 0]},
+    {"activation": "softplus"},
+    {"weights": train.LossWeights(alpha=0.0, beta=0.0, gamma=0.0)},
+])
+def test_config_validate_rejects_out_of_range_fields(bad):
+    with pytest.raises(ParameterError):
+        _config(**bad).validate()
+
+
+def test_config_validate_accepts_edges():
+    _config(epochs=0, adam_beta1=0.0, ridge_epsilon=0.0, hidden_dims=[],
+            weights=train.LossWeights(alpha=0.0, beta=0.0, gamma=1.0)).validate()
 
 
 def test_config_default_hidden_dims():
@@ -134,6 +164,55 @@ def test_joint_loss_full_gradient_finite_difference():
             denom = max(abs(fd), abs(gflat[i]), 1e-8)
             worst = max(worst, abs(fd - gflat[i]) / denom)
     assert worst < 1e-4
+
+
+def _flat_views(m, side):
+    """Two m x m views of NaN-filled flat buffers of side**2 elements, as
+    fit hands them to joint_loss."""
+    return tuple(np.full(side * side, np.nan)[:m * m].reshape(m, m) for _ in range(2))
+
+
+@pytest.mark.parametrize("m", [256, 383])  # a full batch; 1663 rows' folded tail
+def test_joint_loss_workspace_is_bit_identical(m):
+    x = np.random.default_rng(41).uniform(size=(m, 10))
+    cfg = train.TrainConfig(sigma=0.1, batch_size=256, latent_dim=10, hidden_dims=[])
+    params = autoenc.init_params(cfg.resolve_layer_dims(10), seed=4)
+    ref_loss, ref_grads = train.joint_loss(params, x, cfg)
+    work = _flat_views(m, 383)
+    for _ in range(2):  # reused buffers hold the previous step's values
+        loss, grads = train.joint_loss(params, x, cfg, work=work)
+        assert loss == ref_loss
+        for name in ("weights", "biases_enc", "biases_dec"):
+            for a, b in zip(getattr(grads, name), getattr(ref_grads, name)):
+                assert np.array_equal(a, b)
+
+
+def test_joint_loss_with_workspace_allocates_no_n_by_n_array():
+    n = 512
+    x = np.random.default_rng(42).uniform(size=(n, 10))
+    cfg = train.TrainConfig(sigma=0.1, batch_size=n, latent_dim=10, hidden_dims=[])
+    params = autoenc.init_params(cfg.resolve_layer_dims(10), seed=5)
+    work = _flat_views(n, n)
+    train.joint_loss(params, x, cfg, work=work)  # first step: lazy imports, caches
+    tracemalloc.start()
+    try:
+        train.joint_loss(params, x, cfg, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+def test_fit_reuses_workspace_across_batch_sizes(monkeypatch):
+    # 212 rows at batch 64: batches of 64, 64 and a folded 84, all carved
+    # from the same two buffers; the model equals one trained without them
+    x = np.random.default_rng(43).uniform(size=(212, 5))
+    cfg = train.TrainConfig(sigma=0.3, batch_size=64, epochs=3, latent_dim=3, seed=2)
+    with_work = train.model_to_dict(train.fit(x, cfg))
+    plain = train.joint_loss
+    monkeypatch.setattr(train, "joint_loss",
+                        lambda *args, work=None, **kwargs: plain(*args, **kwargs))
+    assert train.model_to_dict(train.fit(x, cfg)) == with_work
 
 
 def test_adam_first_step_magnitude():
@@ -264,6 +343,37 @@ def test_checkpoint_bytes_deterministic(tmp_path):
 def test_checkpoint_rejects_unknown_version(tmp_path):
     with pytest.raises(ParameterError):
         train.model_from_dict({"format_version": 99})
+
+
+def _small_checkpoint():
+    x = np.random.default_rng(44).normal(size=(60, 4))
+    data = FeatureMatrix(features=x, feature_names=["a", "b", "c", "d"],
+                         normalization=[(0.0, 1.0)] * 4)
+    cfg = train.TrainConfig(sigma=0.3, batch_size=30, epochs=1, latent_dim=2)
+    return train.model_to_dict(train.fit(data, cfg))
+
+
+@pytest.mark.parametrize("path", [
+    ("weights", 0),  # one weight row cut off
+    ("weights", 1),
+    ("biases_enc", 1),
+    ("biases_dec", 0),
+    ("robust_stats", "medians"),
+    ("robust_stats", "corr_inv"),
+    ("classical_stats", "cov"),
+    ("normalization",),
+    ("feature_names",),
+    ("layer_dims",),
+])
+def test_checkpoint_shape_mismatch_is_malformed(path):
+    doc = _small_checkpoint()
+    train.model_from_dict(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = parent[path[-1]][:-1]  # one row or entry short
+    with pytest.raises(ParameterError, match="malformed checkpoint"):
+        train.model_from_dict(doc)
 
 
 def test_checkpoint_malformed_or_missing(tmp_path):
