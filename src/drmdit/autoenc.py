@@ -105,22 +105,41 @@ def init_params(layer_dims, activation="tanh", seed=42) -> NetworkParams:
     )
 
 
-def forward(params: NetworkParams, batch) -> ForwardTrace:
-    """Encode then decode a batch (rows are samples)."""
+def _as_batch(params: NetworkParams, batch):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_dims[0]:
         raise ParameterError(
             f"batch shape {x.shape} does not match input width {params.layer_dims[0]}"
         )
+    return x
+
+
+def _encoder(params: NetworkParams, x):
+    """(pre-activation, activation) of each encoder layer in turn."""
+    h = x
+    for w, b in zip(params.weights, params.biases_enc):
+        pre = h @ w.T + b
+        h = _act(params.activation, pre)
+        yield pre, h
+
+
+def encode(params: NetworkParams, batch):
+    """The latent rows of a batch: forward's encoder half, keeping no
+    per-layer record and running no decoder."""
+    for _, latent in _encoder(params, _as_batch(params, batch)):
+        pass
+    return latent
+
+
+def forward(params: NetworkParams, batch) -> ForwardTrace:
+    """Encode then decode a batch (rows are samples)."""
+    x = _as_batch(params, batch)
     n_layers = len(params.weights)
     enc_pre, enc_act = [], [x]
-    h = x
-    for l in range(n_layers):
-        pre = h @ params.weights[l].T + params.biases_enc[l]
-        h = _act(params.activation, pre)
+    for pre, h in _encoder(params, x):
         enc_pre.append(pre)
         enc_act.append(h)
-    latent = h
+    latent = enc_act[-1]
 
     dec_pre = [None] * n_layers
     dec_act = [None] * (n_layers + 1)

@@ -120,7 +120,7 @@ def cli_score(model_path, data_path, features_json, mode, out_prefix):
         model = train_mod.load_checkpoint(model_path)
         dataset = _prepare_scoring_data(model, data_path, features_json)
         scores = detect.score(model, dataset, mode=mode)
-        center = model.train_score_medians.get(mode, float(np.median(scores)))
+        center = detect.fold_center(model, scores, mode)
         report = detect.ScoreReport(
             scores=scores, transformed_scores=detect.fold_scores(scores, center),
             predictions=np.zeros(scores.size, dtype=np.int64),

@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import types
@@ -77,7 +78,8 @@ def load_csv(path, label_column=None, columns=None,
     save_csv writes) is the label column, not a feature.
 
     The file is read in chunks of lines. Lines with the header's field
-    count go to np.loadtxt in one batch; a line numpy rejects, and every
+    count go to np.loadtxt in one batch, and their labels are split out of
+    the line text; a line numpy rejects, and every
     other line, is read by the per-row rule (_row_values). From the first
     chunk holding a quote (a field may span lines) or a control character
     numpy reads differently from float(), the rest of the file goes through
@@ -114,6 +116,8 @@ def load_csv(path, label_column=None, columns=None,
             parts = list(_read_chunks(fh, layout))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field over csv's size limit; NUL before 3.11
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
     except OSError as exc:  # a directory, an unreadable file
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     if not sum(p[0].shape[0] for p in parts):
@@ -185,8 +189,8 @@ def _rule_rows(reader, layout):
 
 def _parse_lines(lines, layout):
     """One chunk of quote-free lines. Lines with the header's comma count
-    go through np.loadtxt; the rest, and the lines numpy rejects, through
-    csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
+    go through np.loadtxt, their labels through _labels; the rest, and the
+    lines numpy rejects, through csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
     finite mask removes them with the NaN/inf rows numpy parsed."""
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
@@ -201,15 +205,27 @@ def _parse_lines(lines, layout):
         slow[regular] = False
         slow[regular[rejected]] = True
         if layout.label_idx is not None:
-            text = np.loadtxt(batch, delimiter=",", usecols=layout.label_idx,
-                              dtype=str, comments=None, ndmin=1)
-            anomalous[regular] = ~np.isin(np.char.strip(text), list(layout.normal))
+            normal = map(layout.normal.__contains__, _labels(batch, layout))
+            anomalous[regular] = ~np.fromiter(normal, bool, regular.size)
     for i in np.flatnonzero(slow).tolist():
         row = _row_values(next(csv.reader([lines[i]])), layout)
         if row is not None:
             values[i], anomalous[i] = row
     keep = ~blank & np.isfinite(values).all(axis=1)
     return values[keep], anomalous[keep], int(n - blank.sum() - keep.sum())
+
+
+def _labels(lines, layout):
+    """The stripped label of each line with the header's comma count, split
+    out from whichever end of the line is nearer the label column."""
+    after = layout.n_commas - layout.label_idx  # fields right of the label
+    if layout.label_idx <= after:
+        split = operator.methodcaller("split", ",", layout.label_idx + 1)
+        field = operator.itemgetter(layout.label_idx)
+    else:
+        split = operator.methodcaller("rsplit", ",", after + 1)
+        field = operator.itemgetter(-after - 1)
+    return map(str.strip, map(field, map(split, lines)))
 
 
 def _loadtxt_rows(lines, feat_idx, out, rows):
@@ -362,9 +378,11 @@ def apply_minmax(data: FeatureMatrix, record) -> FeatureMatrix:
     lo = np.array([r[0] for r in record])
     hi = np.array([r[1] for r in record])
     span = hi - lo
-    out = np.zeros_like(data.features)
     nonconst = span > 0
-    out[:, nonconst] = (data.features[:, nonconst] - lo[nonconst]) / span[nonconst]
+    # one N x d array: the difference, divided in place, constants zeroed
+    out = np.subtract(data.features, lo)
+    np.divide(out, span, out=out, where=nonconst)
+    out[:, ~nonconst] = 0.0
     return FeatureMatrix(features=out, labels=data.labels,
                          feature_names=list(data.feature_names),
                          normalization=list(record), tags=data.tags)

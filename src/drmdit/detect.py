@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autoenc, robust
 from .data import open_output
-from .errors import ParameterError
+from .errors import DegeneracyError, ParameterError
 
 SCORING_MODES = ("robust_md", "classical_md", "euclidean_recon")
 
@@ -44,7 +44,9 @@ class ScoreReport:
 
 
 def score(model, data, mode="robust_md"):
-    """Per-row anomaly scores for one of the three scoring modes."""
+    """Per-row anomaly scores for one of the three scoring modes. The
+    Mahalanobis modes run the encoder only. Non-finite scores are a
+    DegeneracyError."""
     if mode not in SCORING_MODES:
         raise ParameterError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
     features = np.asarray(getattr(data, "features", data), dtype=np.float64)
@@ -53,17 +55,22 @@ def score(model, data, mode="robust_md"):
             f"data has {features.shape[1]} features, model expects "
             f"{model.params.layer_dims[0]}"
         )
-    trace = autoenc.forward(model.params, features)
-    if mode == "robust_md":
+    if mode == "euclidean_recon":
+        resid = autoenc.forward(model.params, features).reconstruction - features
+        s = np.mean(resid * resid, axis=1)
+    elif mode == "robust_md":
         if model.robust_stats is None:
             raise ParameterError("model has no frozen robust stats")
-        return robust.robust_md(trace.latent, model.robust_stats)
-    if mode == "classical_md":
+        s = robust.robust_md(autoenc.encode(model.params, features), model.robust_stats)
+    else:
         if model.classical_stats is None:
             raise ParameterError("model has no frozen classical stats")
-        return robust.classical_md(trace.latent, model.classical_stats)
-    resid = trace.reconstruction - features
-    return np.mean(resid * resid, axis=1)
+        s = robust.classical_md(autoenc.encode(model.params, features),
+                                model.classical_stats)
+    bad = s.size - np.count_nonzero(np.isfinite(s))
+    if bad:
+        raise DegeneracyError(f"{bad} of {s.size} {mode} scores are not finite")
+    return s
 
 
 def classify(scores, band: ScoreBand):
@@ -96,6 +103,13 @@ def metrics(predictions, labels):
         "recall": 0.0 if (tp + fn) == 0 else tp / (tp + fn),
         "no_predicted_positives": degenerate,
     }
+
+
+def fold_center(model, scores, mode):
+    """The center scores of mode fold around: the model's median training
+    score, or, for a checkpoint without one, the median of scores."""
+    center = model.train_score_medians.get(mode)
+    return float(np.median(scores)) if center is None else center
 
 
 def fold_scores(scores, center):
@@ -191,7 +205,7 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
             raise ParameterError("auto band selection requires labels")
         band = select_band(s, labels)
     predictions, tags = classify(s, band)
-    center = model.train_score_medians.get(mode, float(np.median(s)))
+    center = fold_center(model, s, mode)
     report = ScoreReport(
         scores=s, transformed_scores=fold_scores(s, center),
         predictions=predictions, tags=tags.tolist(), band=band,
@@ -230,6 +244,6 @@ def emit_report(report: ScoreReport, path_prefix):
     columns += [map(str, np.asarray(report.predictions, dtype=np.int64).tolist()),
                 report.tags]
     with open_output(trace_path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]))
+        fh.write("\n")
     return report_path, trace_path

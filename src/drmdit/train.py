@@ -116,7 +116,7 @@ class TrainedModel:
     feature_names: list | None = None
 
     def encode(self, features):
-        return autoenc.forward(self.params, features).latent
+        return autoenc.encode(self.params, features)
 
     def reconstruct(self, features):
         return autoenc.forward(self.params, features).reconstruction
@@ -382,13 +382,22 @@ def save_checkpoint(model: TrainedModel, path):
         fh.write("\n")
 
 
-def _check_shapes(model: TrainedModel):
-    """ValueError unless every array fits layer_dims: the network's, the
-    latent statistics' (width layer_dims[-1]) and the input records'."""
+def _check_arrays(model: TrainedModel):
+    """ValueError unless every array fits layer_dims (the network's, the
+    latent statistics' of width layer_dims[-1] and the input records') and
+    every number scoring reads is finite."""
     dims = model.params.layer_dims
     if len(dims) < 2 or min(dims) < 1:
         raise ValueError(f"layer_dims needs >= 2 positive widths, got {dims}")
     d, k = dims[0], dims[-1]
+    rs, cs = model.robust_stats, model.classical_stats
+    arrays = {
+        "weights": model.params.weights,
+        "biases_enc": model.params.biases_enc,
+        "biases_dec": model.params.biases_dec,
+        "robust_stats": [rs.medians, rs.mads, rs.corr, rs.corr_inv],
+        "classical_stats": [cs.means, cs.cov, cs.cov_inv],
+    }
     expected = {
         "weights": [(o, i) for i, o in zip(dims[:-1], dims[1:])],
         "biases_enc": [(o,) for o in dims[1:]],
@@ -396,14 +405,7 @@ def _check_shapes(model: TrainedModel):
         "robust_stats": [(k,), (k,), (k, k), (k, k)],
         "classical_stats": [(k,), (k, k), (k, k)],
     }
-    rs, cs = model.robust_stats, model.classical_stats
-    got = {
-        "weights": [w.shape for w in model.params.weights],
-        "biases_enc": [b.shape for b in model.params.biases_enc],
-        "biases_dec": [b.shape for b in model.params.biases_dec],
-        "robust_stats": [a.shape for a in (rs.medians, rs.mads, rs.corr, rs.corr_inv)],
-        "classical_stats": [a.shape for a in (cs.means, cs.cov, cs.cov_inv)],
-    }
+    got = {name: [a.shape for a in values] for name, values in arrays.items()}
     if model.normalization is not None:  # (rows, the one row length)
         expected["normalization"] = [(d, 2)]
         got["normalization"] = [(len(model.normalization),
@@ -414,10 +416,16 @@ def _check_shapes(model: TrainedModel):
     for name, want in expected.items():
         if got[name] != want:
             raise ValueError(f"{name} shapes {got[name]} do not fit layer_dims {dims}")
+    arrays["normalization"] = [model.normalization or []]
+    arrays["train_score_medians"] = [list(model.train_score_medians.values())]
+    for name, values in arrays.items():
+        if not all(np.isfinite(a).all() for a in values):
+            raise ValueError(f"{name} holds a non-finite value")
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    """Inverse of model_to_dict; a malformed document is a ParameterError."""
+    """Inverse of model_to_dict. A malformed document, non-finite numbers
+    (json reads NaN and Infinity) included, is a ParameterError."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ParameterError(f"unsupported checkpoint format_version {version!r}")
@@ -431,14 +439,12 @@ def model_from_dict(doc: dict) -> TrainedModel:
         )
         rs = doc["robust_stats"]
         stats = robust.RobustLatentStats(
-            medians=np.asarray(rs["medians"]), mads=np.asarray(rs["mads"]),
-            corr=np.asarray(rs["corr"]), corr_inv=np.asarray(rs["corr_inv"]),
-        )
+            **{key: np.asarray(rs[key], dtype=np.float64)
+               for key in ("medians", "mads", "corr", "corr_inv")})
         cs = doc["classical_stats"]
         cstats = robust.ClassicalStats(
-            means=np.asarray(cs["means"]), cov=np.asarray(cs["cov"]),
-            cov_inv=np.asarray(cs["cov_inv"]),
-        )
+            **{key: np.asarray(cs[key], dtype=np.float64)
+               for key in ("means", "cov", "cov_inv")})
         config = data.dataclass_from_dict(TrainConfig, doc["train_config"],
                                           "checkpoint train_config")
         history = [LossBreakdown(**h) for h in doc["loss_history"]]
@@ -446,13 +452,14 @@ def model_from_dict(doc: dict) -> TrainedModel:
         model = TrainedModel(
             params=params, robust_stats=stats, classical_stats=cstats,
             config=config, loss_history=history,
-            train_score_medians=dict(doc["train_score_medians"]),
-            normalization=None if norm is None else [tuple(r) for r in norm],
+            train_score_medians={mode: float(v) for mode, v
+                                 in dict(doc["train_score_medians"]).items()},
+            normalization=None if norm is None else [tuple(map(float, r)) for r in norm],
             feature_names=doc.get("feature_names"),
         )
-        _check_shapes(model)
+        _check_arrays(model)
         return model
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
 
 

@@ -73,6 +73,15 @@ def test_forward_rejects_bad_width():
         autoenc.forward(p, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+def test_encode_is_forward_latent(activation):
+    p = autoenc.init_params([6, 4, 3, 2], activation=activation, seed=5)
+    batch = np.random.default_rng(26).normal(size=(9, 6))
+    assert autoenc.encode(p, batch).tobytes() == autoenc.forward(p, batch).latent.tobytes()
+    with pytest.raises(ParameterError):
+        autoenc.encode(p, np.zeros((3, 5)))
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     p = autoenc.init_params([5, 3], seed=4)
     trace = autoenc.forward(p, np.random.default_rng(26).normal(size=(4, 5)))

@@ -359,3 +359,70 @@ def test_invalid_utf8_csv_exits_3(runner, trained_checkpoint, tmp_path):
     ])
     assert result.exit_code == 3, result.output
     assert "latin1.csv" in result.output
+
+
+def _edited_checkpoint(checkpoint, tmp_path, edit):
+    doc = json.loads(checkpoint.read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))  # NaN and Infinity as json writes them
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_nan_weight_checkpoint_exits_2(runner, trained_checkpoint, synth_csv, tmp_path,
+                                       command):
+    # was: score exit 0 with an all-nan trace; eval exit 2 "band edges must be finite"
+    def edit(doc):
+        doc["weights"][0][0][0] = float("nan")
+
+    model = _edited_checkpoint(trained_checkpoint, tmp_path, edit)
+    args = [command, "--model", model, "--data", str(synth_csv), "--out",
+            str(tmp_path / "n")]
+    if command == "eval":
+        args += ["--labels", "label"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "malformed checkpoint" in result.output
+    assert not (tmp_path / "n.trace.csv").exists()
+
+
+def test_infinite_normalization_max_exits_2(runner, trained_checkpoint, synth_csv,
+                                            tmp_path):
+    # was: exit 0, the feature silently normalized to 0
+    def edit(doc):
+        doc["normalization"][1][1] = float("inf")
+
+    model = _edited_checkpoint(trained_checkpoint, tmp_path, edit)
+    result = runner.invoke(main, ["score", "--model", model, "--data", str(synth_csv),
+                                  "--out", str(tmp_path / "i")])
+    assert result.exit_code == 2, result.output
+    assert "malformed checkpoint" in result.output
+
+
+def test_rows_scoring_non_finite_exit_4(runner, trained_checkpoint, tmp_path):
+    # a 1e-300 training span sends 1e10 past the float range; the encoder
+    # then meets inf - inf: was exit 0 with a nan trace
+    def edit(doc):
+        doc["normalization"] = [[0.0, 1e-300]] * 4
+
+    model = _edited_checkpoint(trained_checkpoint, tmp_path, edit)
+    path = tmp_path / "far.csv"
+    path.write_text("f0,f1,f2,f3\n0,0,0,0\n1e10,1e10,1e10,1e10\n")
+    result = runner.invoke(main, ["score", "--model", model, "--data", str(path),
+                                  "--out", str(tmp_path / "h")])
+    assert result.exit_code == 4, result.output
+    assert "1 of 2 robust_md scores are not finite" in result.output
+
+
+def test_score_and_eval_write_the_same_score_column(runner, trained_checkpoint, synth_csv,
+                                                    tmp_path):
+    for command, extra in (("score", []), ("eval", ["--labels", "label"])):
+        result = runner.invoke(main, [command, "--model", str(trained_checkpoint),
+                                      "--data", str(synth_csv), *extra,
+                                      "--out", str(tmp_path / command)])
+        assert result.exit_code == 0, result.output
+    columns = [[line.split(",")[1]
+                for line in (tmp_path / f"{c}.trace.csv").read_text().splitlines()]
+               for c in ("score", "eval")]
+    assert columns[0] == columns[1]

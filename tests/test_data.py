@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -213,6 +214,14 @@ def test_load_csv_invalid_utf8_is_data_error(tmp_path):
         data.load_csv(p)
 
 
+def test_load_csv_field_over_the_csv_limit_is_data_error(tmp_path):
+    # csv.reader raises csv.Error past its field size limit: was exit 1
+    path = tmp_path / "long.csv"
+    path.write_text('c0,label\n1,0\n"' + "x" * (csv.field_size_limit() + 1) + '",1\n')
+    with pytest.raises(DataError, match="unreadable CSV"):
+        data.load_csv(str(path))
+
+
 def test_save_csv_roundtrip(tmp_path):
     fm = data.FeatureMatrix(
         features=np.array([[0.1, 0.25], [1.5, -3.75]]),
@@ -246,6 +255,45 @@ def test_apply_minmax_uses_training_record():
     test = data.FeatureMatrix(features=np.array([[5.0], [20.0]]))
     out = data.apply_minmax(test, record)
     assert np.allclose(out.features.ravel(), [0.5, 2.0])  # out-of-range values extrapolate
+
+
+def _minmax_by_columns(x, record):
+    """The column-subset formula: (x - min) / (max - min) on the non-constant
+    columns, 0 elsewhere."""
+    lo = np.array([r[0] for r in record])
+    span = np.array([r[1] for r in record]) - lo
+    out = np.zeros_like(x)
+    keep = span > 0
+    out[:, keep] = (x[:, keep] - lo[keep]) / span[keep]
+    return out
+
+
+def test_apply_minmax_is_bit_identical_to_the_column_formula():
+    rng = np.random.default_rng(61)
+    train = rng.normal(size=(50, 7)) * rng.uniform(1e-3, 1e3, size=7)
+    train[:, [1, 4]] = [2.5, -0.0]  # constant training columns
+    record = data.fit_minmax(data.FeatureMatrix(features=train))
+    x = rng.normal(size=(40, 7)) * 1e3  # far outside the training range
+    x[0] = -np.abs(x[0])
+    before = x.copy()
+    out = data.apply_minmax(data.FeatureMatrix(features=x), record)
+    assert out.features.tobytes() == _minmax_by_columns(before, record).tobytes()
+    assert np.all(out.features[:, [1, 4]] == 0.0)
+    assert x.tobytes() == before.tobytes()  # the input is left as it was
+
+
+def test_apply_minmax_allocates_one_output_array():
+    n, d = 20000, 41
+    rng = np.random.default_rng(62)
+    fm = data.FeatureMatrix(features=rng.normal(size=(n, d)))
+    record = [(-1.0, 1.0)] * (d - 3) + [(0.5, 0.5)] * 3
+    tracemalloc.start()
+    try:
+        data.apply_minmax(fm, record)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * n * d * 8
 
 
 def test_apply_minmax_record_mismatch():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from drmdit import autoenc, detect, robust, train
-from drmdit.errors import ParameterError
+from drmdit.errors import DegeneracyError, ParameterError
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +62,62 @@ def test_euclidean_score_zero_for_perfect_reconstruction():
     x = np.random.default_rng(52).normal(size=(5, 3)) * 1e-8
     s = detect.score(model, x, mode="euclidean_recon")
     assert np.max(s) < 1e-12
+
+
+def test_md_scores_are_the_scores_of_the_forward_latent(small_model):
+    x = np.random.default_rng(57).normal(size=(30, 4)) * 3.0
+    latent = autoenc.forward(small_model.params, x).latent
+    by_forward = {
+        "robust_md": robust.robust_md(latent, small_model.robust_stats),
+        "classical_md": robust.classical_md(latent, small_model.classical_stats),
+    }
+    for mode, expected in by_forward.items():
+        assert detect.score(small_model, x, mode=mode).tobytes() == expected.tobytes()
+
+
+def test_md_scoring_allocates_no_reconstruction():
+    n, d = 20000, 41
+    rng = np.random.default_rng(58)
+    params = autoenc.init_params([d, 4, 2], seed=4)
+    fit_rows = rng.normal(size=(200, d))
+    latent = autoenc.forward(params, fit_rows).latent
+    model = train.TrainedModel(
+        params=params, robust_stats=robust.robust_correlation(latent),
+        classical_stats=robust.classical_stats(latent), config=train.TrainConfig(),
+        loss_history=[], train_score_medians={})
+    x = rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        detect.score(model, x, mode="robust_md")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8  # one n x d reconstruction would exceed it
+
+
+@pytest.mark.parametrize("mode", detect.SCORING_MODES)
+def test_non_finite_scores_are_a_degeneracy_error(small_model, mode):
+    x = np.zeros((3, 4))
+    x[1, 2] = np.nan  # as a library caller may pass; load_csv drops such rows
+    with pytest.raises(DegeneracyError, match="1 of 3"):
+        detect.score(small_model, x, mode=mode)
+
+
+def test_fold_center_is_the_training_median_when_the_model_has_one(small_model,
+                                                                   monkeypatch):
+    def no_median(*args, **kwargs):
+        raise AssertionError("the fallback median was computed")
+
+    scores = np.array([0.5, 1.0, 4.0])
+    expected = small_model.train_score_medians["classical_md"]
+    with monkeypatch.context() as patch:
+        patch.setattr(detect.np, "median", no_median)
+        assert detect.fold_center(small_model, scores, "classical_md") == expected
+    without = train.TrainedModel(
+        params=small_model.params, robust_stats=small_model.robust_stats,
+        classical_stats=small_model.classical_stats, config=small_model.config,
+        loss_history=[], train_score_medians={})
+    assert detect.fold_center(without, scores, "classical_md") == 1.0
 
 
 def test_classify_band_hand_case():
@@ -290,6 +346,31 @@ def test_emit_report_unlabeled_omits_label_column(tmp_path):
     lines = open(tp).read().strip().split("\n")
     assert lines[0] == "index,score,transformed_score,prediction,tag"
     assert len(lines) == 4
+
+
+def _bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_emit_report_trace_is_one_line_per_row(tmp_path):
+    scores = np.array([0.1, 2.0 / 3.0, 1e-300])
+    report = detect.ScoreReport(
+        scores=scores, transformed_scores=np.abs(scores - 0.5),
+        predictions=np.array([0, 1, 1]), tags=["normal", "far", "near"],
+        band=None, scoring_mode="robust_md", labels=np.array([0, 1, 1]))
+    _, tp = detect.emit_report(report, tmp_path / "t")
+    rows = [",".join([str(i), repr(float(s)), repr(float(abs(s - 0.5))), str(y), str(p), t])
+            for i, (s, y, p, t) in enumerate(zip(scores, [0, 1, 1], [0, 1, 1],
+                                                 ["normal", "far", "near"]))]
+    header = "index,score,transformed_score,label,prediction,tag"
+    assert _bytes(tp) == "".join(line + "\n" for line in [header, *rows]).encode()
+    empty = detect.ScoreReport(
+        scores=np.array([]), transformed_scores=np.array([]),
+        predictions=np.array([], dtype=np.int64), tags=[], band=None,
+        scoring_mode="robust_md")
+    _, tp = detect.emit_report(empty, tmp_path / "e")
+    assert _bytes(tp) == b"index,score,transformed_score,prediction,tag\n"
 
 
 def test_evaluate_requires_labels_for_auto_band(small_model):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -350,7 +351,7 @@ def _small_checkpoint():
     data = FeatureMatrix(features=x, feature_names=["a", "b", "c", "d"],
                          normalization=[(0.0, 1.0)] * 4)
     cfg = train.TrainConfig(sigma=0.3, batch_size=30, epochs=1, latent_dim=2)
-    return train.model_to_dict(train.fit(data, cfg))
+    return json.loads(json.dumps(train.model_to_dict(train.fit(data, cfg))))  # as read
 
 
 @pytest.mark.parametrize("path", [
@@ -372,6 +373,62 @@ def test_checkpoint_shape_mismatch_is_malformed(path):
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = parent[path[-1]][:-1]  # one row or entry short
+    with pytest.raises(ParameterError, match="malformed checkpoint"):
+        train.model_from_dict(doc)
+
+
+def _edited_checkpoint(path, value):
+    """_small_checkpoint with the value at path, a sequence of keys, replaced."""
+    doc = _small_checkpoint()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path", [
+    ("weights", 0, 1, 2),
+    ("biases_enc", 1, 0),
+    ("biases_dec", 0, 3),
+    ("robust_stats", "medians", 0),
+    ("robust_stats", "mads", 1),
+    ("robust_stats", "corr", 0, 1),
+    ("robust_stats", "corr_inv", 1, 1),
+    ("classical_stats", "means", 0),
+    ("classical_stats", "cov", 1, 0),
+    ("classical_stats", "cov_inv", 0, 0),
+    ("normalization", 2, 1),
+    ("train_score_medians", "euclidean_recon"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_non_finite_number_is_malformed(path, value):
+    doc = _edited_checkpoint(path, value)
+    with pytest.raises(ParameterError, match="malformed checkpoint.*non-finite"):
+        train.model_from_dict(doc)
+
+
+def test_checkpoint_infinity_token_in_json_is_malformed(tmp_path):
+    doc = _edited_checkpoint(("normalization", 0, 1), float("inf"))
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))  # json writes the Infinity token
+    assert "Infinity" in path.read_text()
+    with pytest.raises(ParameterError, match="malformed checkpoint"):
+        train.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("layer_dims", 1), 1e400),  # json reads it as inf: int() overflows
+    (("layer_dims", 1), "x"),
+    (("robust_stats", "medians", 0), "x"),
+    (("classical_stats", "means"), None),
+    (("normalization", 0), ["a", "b"]),
+    (("normalization", 0, 1), None),
+    (("train_score_medians", "robust_md"), "x"),
+    (("train_score_medians",), [1, 2]),
+])
+def test_checkpoint_wrong_value_type_is_malformed(path, value):
+    doc = _edited_checkpoint(path, value)
     with pytest.raises(ParameterError, match="malformed checkpoint"):
         train.model_from_dict(doc)
 
