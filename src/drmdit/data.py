@@ -217,15 +217,10 @@ def _parse_lines(lines, layout):
 
 def _labels(lines, layout):
     """The stripped label of each line with the header's comma count, split
-    out from whichever end of the line is nearer the label column."""
+    out from the end of the line."""
     after = layout.n_commas - layout.label_idx  # fields right of the label
-    if layout.label_idx <= after:
-        split = operator.methodcaller("split", ",", layout.label_idx + 1)
-        field = operator.itemgetter(layout.label_idx)
-    else:
-        split = operator.methodcaller("rsplit", ",", after + 1)
-        field = operator.itemgetter(-after - 1)
-    return map(str.strip, map(field, map(split, lines)))
+    split = operator.methodcaller("rsplit", ",", after + 1)
+    return map(str.strip, map(operator.itemgetter(-after - 1), map(split, lines)))
 
 
 def _loadtxt_rows(lines, feat_idx, out, rows):

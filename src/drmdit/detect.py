@@ -7,6 +7,7 @@ equality counts as normal.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .data import open_output
 from .errors import DegeneracyError, ParameterError
 
 SCORING_MODES = ("robust_md", "classical_md", "euclidean_recon")
+_TRACE_BLOCK = 1024  # trace rows joined and written at a time
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,10 @@ def emit_report(report: ScoreReport, path_prefix):
     header += ["prediction", "tag"]
     columns += [map(str, np.asarray(report.predictions, dtype=np.int64).tolist()),
                 report.tags]
+    rows = zip(*columns)
     with open_output(trace_path) as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]))
-        fh.write("\n")
+        fh.write(",".join(header) + "\n")
+        while block := list(itertools.islice(rows, _TRACE_BLOCK)):
+            fh.write("\n".join(map(",".join, block)))
+            fh.write("\n")
     return report_path, trace_path

@@ -303,8 +303,10 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
 
     Labeled validation data is scored by folded AUC of robust-MD scores;
     unlabeled validation by the negative mean robust-MD (closer to the
-    normal manifold is better). Ties break toward smaller sigma, then
-    larger alpha. Returns (best_config, table).
+    normal manifold is better). A cell whose validation scores are not
+    finite scores -inf; if every cell does, that is a DegeneracyError.
+    Ties break toward smaller sigma, then larger alpha. Returns
+    (best_config, table).
     """
     from . import detect  # local import: detect depends on this module
 
@@ -319,24 +321,32 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
     )
     table = []
     best = None
+    scored = 0
     for sigma in sigma_grid:
         for weights in weight_grid:
             if not isinstance(weights, LossWeights):
                 weights = LossWeights(*weights)
             cfg = replace(base, sigma=float(sigma), epochs=epochs, weights=weights)
             model = fit(train_data, cfg)
-            scores = detect.score(model, val_features, mode="robust_md")
-            if labels is not None and len(np.unique(labels)) > 1:
-                value = detect.auc(scores, labels,
-                                   center=model.train_score_medians["robust_md"])
+            try:
+                scores = detect.score(model, val_features, mode="robust_md")
+            except DegeneracyError:  # non-finite validation scores rank last
+                value = -np.inf
             else:
-                value = -float(scores.mean())
+                scored += 1
+                if labels is not None and len(np.unique(labels)) > 1:
+                    value = detect.auc(scores, labels,
+                                       center=model.train_score_medians["robust_md"])
+                else:
+                    value = -float(scores.mean())
             table.append({"sigma": float(sigma), "alpha": weights.alpha,
                           "beta": weights.beta, "gamma": weights.gamma,
                           "score": value})
             key = (value, -sigma, weights.alpha)
             if best is None or key > best[0]:
                 best = (key, cfg)
+    if not scored:
+        raise DegeneracyError("no grid cell gave finite validation scores")
     return best[1], table
 
 

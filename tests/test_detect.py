@@ -373,6 +373,42 @@ def test_emit_report_trace_is_one_line_per_row(tmp_path):
     assert _bytes(tp) == b"index,score,transformed_score,prediction,tag\n"
 
 
+def _trace_report(n):
+    scores = np.random.default_rng(n).random(n)
+    return detect.ScoreReport(
+        scores=scores, transformed_scores=np.abs(scores - 0.5),
+        predictions=(scores > 0.9).astype(np.int64),
+        tags=["far" if s > 0.9 else "normal" for s in scores.tolist()],
+        band=None, scoring_mode="robust_md",
+        labels=(scores > 0.8).astype(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 4, 5])
+def test_emit_report_trace_bytes_do_not_depend_on_the_block_size(tmp_path,
+                                                                  monkeypatch, n):
+    report = _trace_report(n)
+    _, whole = detect.emit_report(report, tmp_path / "whole")
+    monkeypatch.setattr(detect, "_TRACE_BLOCK", 2)
+    _, blocks = detect.emit_report(report, tmp_path / "blocks")
+    assert _bytes(blocks) == _bytes(whole)
+    assert _bytes(blocks).count(b"\n") == n + 1
+
+
+def test_emit_report_does_not_hold_the_whole_trace(tmp_path):
+    # Per extra row, the writer may keep the per-column Python values
+    # (about 80 bytes) but not the row's text line as well (about 250).
+    def peak(n):
+        report = _trace_report(n)
+        tracemalloc.start()
+        try:
+            detect.emit_report(report, tmp_path / "p")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(40_000) - peak(20_000)) / 20_000 <= 120
+
+
 def test_evaluate_requires_labels_for_auto_band(small_model):
     with pytest.raises(ParameterError):
         detect.evaluate(small_model, np.zeros((5, 4)), band=None)

@@ -302,6 +302,40 @@ def test_grid_search_single_cell():
     assert len(table) == 1
 
 
+def _degenerate_for(monkeypatch, sigmas):
+    """Make detect.score fail as on non-finite scores for models trained
+    with one of sigmas."""
+    from drmdit import detect
+    real = detect.score
+
+    def score(model, data, mode="robust_md"):
+        if model.config.sigma in sigmas:
+            raise DegeneracyError("1 of 1 robust_md scores are not finite")
+        return real(model, data, mode=mode)
+
+    monkeypatch.setattr(detect, "score", score)
+
+
+def test_grid_search_ranks_a_degenerate_cell_last(monkeypatch):
+    data = np.random.default_rng(37).normal(size=(80, 3))
+    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1)
+    _degenerate_for(monkeypatch, {0.1})
+    best, table = train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()],
+                                    base_config=cfg, epochs=1)
+    assert best.sigma == 0.5
+    assert [row["score"] for row in table][0] == -np.inf
+    assert np.isfinite(table[1]["score"])
+
+
+def test_grid_search_with_every_cell_degenerate_is_an_error(monkeypatch):
+    data = np.random.default_rng(37).normal(size=(80, 3))
+    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1)
+    _degenerate_for(monkeypatch, {0.1, 0.5})
+    with pytest.raises(DegeneracyError, match="no grid cell"):
+        train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()],
+                          base_config=cfg, epochs=1)
+
+
 def test_grid_search_empty_grid():
     with pytest.raises(ParameterError):
         train.grid_search(np.zeros((10, 2)), np.zeros((10, 2)), [], [])
