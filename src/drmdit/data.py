@@ -16,6 +16,7 @@ import math
 import operator
 import os
 import re
+import string
 import types
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -79,11 +80,14 @@ def load_csv(path, label_column=None, columns=None,
 
     The file is read in chunks of lines. Lines with the header's field
     count go to np.loadtxt in one batch, and their labels are split out of
-    the line text; a line numpy rejects, and every
-    other line, is read by the per-row rule (_row_values). From the first
-    chunk holding a quote (a field may span lines) or a control character
-    numpy reads differently from float(), the rest of the file goes through
-    csv.reader and the per-row rule.
+    the line text. When numpy rejects the batch, the lines with a letter
+    no float literal holds inside a selected field go to the per-row rule
+    (_row_values) and the rest to one more np.loadtxt call; a line numpy
+    still rejects, and every other line, is read by the per-row rule too.
+    From the first chunk holding a quote (a field may span lines) or a
+    control character numpy reads differently from float(), the rest of
+    the file goes through csv.reader and the per-row rule. Kept rows are
+    written into one output buffer (_Output).
 
     Returns (FeatureMatrix, dropped_count).
     """
@@ -113,20 +117,20 @@ def load_csv(path, label_column=None, columns=None,
                 label_idx=header.index(label_column) if label_column else None,
                 normal=frozenset(normal_values),
             )
-            parts = list(_read_chunks(fh, layout))
+            out = _Output(len(feature_names), os.fstat(fh.fileno()).st_size)
+            _read_chunks(fh, layout, out)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:  # a field over csv's size limit; NUL before 3.11
         raise DataError(f"{path}: unreadable CSV ({exc})") from None
     except OSError as exc:  # a directory, an unreadable file
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-    if not sum(p[0].shape[0] for p in parts):
+    features, anomalous = out.result()
+    if not features.shape[0]:
         raise DataError(f"{path}: no usable rows")
-    labels = None
-    if layout.label_idx is not None:
-        labels = np.concatenate([p[1] for p in parts])
-    return FeatureMatrix(features=np.concatenate([p[0] for p in parts]), labels=labels,
-                         feature_names=feature_names), sum(p[2] for p in parts)
+    return FeatureMatrix(features=features,
+                         labels=None if layout.label_idx is None else anomalous,
+                         feature_names=feature_names), out.dropped
 
 
 _CHUNK_BYTES = 1 << 20  # size hint for fh.readlines(): one np.loadtxt batch
@@ -135,6 +139,9 @@ _CHUNK_BYTES = 1 << 20  # size hint for fh.readlines(): one np.loadtxt batch
 _LINE_SPLIT_UNSAFE = '"\x00\x1c\x1d\x1e\x1f'
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
 _NUMPY_ROW = re.compile(r"\bat row (\d+)")
+# ASCII letters no float literal holds: float() and np.loadtxt read only
+# e/E and the letters of nan, inf and infinity, in either case
+_ALIEN_LETTERS = "".join(c for c in string.ascii_letters if c.lower() not in "aefinty")
 
 
 class _Layout(typing.NamedTuple):
@@ -144,6 +151,43 @@ class _Layout(typing.NamedTuple):
     feat_idx: list
     label_idx: int | None
     normal: frozenset
+
+
+class _Output:
+    """The kept rows of load_csv in one features buffer and one labels
+    buffer. Their size is estimated from the file size and the characters
+    per line read so far; they grow when the estimate falls short and are
+    cut to the rows kept at the end (ndarray.resize, a realloc)."""
+
+    def __init__(self, d, file_size):
+        self.features = np.empty((0, d))
+        self.anomalous = np.empty(0, dtype=np.int64)
+        self.file_size = file_size
+        self.n = self.dropped = self.chars = self.lines = 0
+
+    def add(self, values, anomalous, keep, dropped, chars=0, lines=0):
+        """Append the rows of values and anomalous where keep is set; chars
+        and lines are the size of the text they came from."""
+        self.chars += chars
+        self.lines += lines
+        self.dropped += dropped
+        stop = self.n + int(np.count_nonzero(keep))
+        if stop > self.anomalous.shape[0]:
+            left = max(self.file_size - self.chars, 0) * self.lines // max(self.chars, 1)
+            self._resize(stop + left + left // 16)
+        np.compress(keep, values, axis=0, out=self.features[self.n:stop])
+        np.compress(keep, anomalous, out=self.anomalous[self.n:stop])
+        self.n = stop
+
+    def result(self):
+        """(features, is_anomaly) of the rows kept, in file order."""
+        self._resize(self.n)
+        return self.features, self.anomalous
+
+    def _resize(self, size):
+        # the buffers own their data, and no view of them outlives add()
+        self.features.resize((size, self.features.shape[1]), refcheck=False)
+        self.anomalous.resize(size, refcheck=False)
 
 
 def _row_values(raw, layout):
@@ -160,19 +204,19 @@ def _row_values(raw, layout):
     return vals, label not in layout.normal
 
 
-def _read_chunks(fh, layout):
-    """(features, is_anomaly, dropped) for each chunk of fh's remaining
-    lines, in file order."""
+def _read_chunks(fh, layout, out):
+    """Parse fh's remaining lines into out, chunk by chunk in file order."""
     for chunk in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
         text = "".join(chunk)
         if any(c in text for c in _LINE_SPLIT_UNSAFE):
-            yield _rule_rows(csv.reader(itertools.chain(chunk, fh)), layout)
+            out.add(*_rule_rows(csv.reader(itertools.chain(chunk, fh)), layout))
             return
-        yield _parse_lines(chunk, layout)
+        out.add(*_parse_lines(chunk, text, layout), len(text), len(chunk))
 
 
 def _rule_rows(reader, layout):
-    """Every row of a csv.reader by the per-row rule."""
+    """Every row of a csv.reader by the per-row rule: (features,
+    is_anomaly, keep, dropped) as _parse_lines returns them."""
     rows, anomalous, dropped = [], [], 0
     for raw in reader:
         if not raw:
@@ -184,35 +228,38 @@ def _rule_rows(reader, layout):
             rows.append(row[0])
             anomalous.append(row[1])
     return (np.array(rows, dtype=np.float64).reshape(len(rows), len(layout.feat_idx)),
-            np.array(anomalous, dtype=np.int64), dropped)
+            np.array(anomalous, dtype=np.int64), np.ones(len(rows), dtype=bool), dropped)
 
 
-def _parse_lines(lines, layout):
-    """One chunk of quote-free lines. Lines with the header's comma count
-    go through np.loadtxt, their labels through _labels; the rest, and the
-    lines numpy rejects, through csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
-    finite mask removes them with the NaN/inf rows numpy parsed."""
+def _parse_lines(lines, text, layout):
+    """One chunk of quote-free lines, text their concatenation. Returns
+    (features, is_anomaly, keep, dropped) per line. Lines with the
+    header's comma count go through _loadtxt_lines, their labels through
+    _labels; the rest, and the lines _loadtxt_lines leaves, through
+    csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
+    finite mask drops them with the NaN/inf rows numpy parsed."""
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
     blank = np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
-    regular = np.flatnonzero((commas == layout.n_commas) & ~blank)
-    slow = ~blank
     values = np.full((n, len(layout.feat_idx)), np.nan)
     anomalous = np.zeros(n, dtype=np.int64)
-    if regular.size:
-        batch = lines if regular.size == n else [lines[i] for i in regular.tolist()]
-        rejected = _loadtxt_rows(batch, layout.feat_idx, values, regular)
-        slow[regular] = False
-        slow[regular[rejected]] = True
-        if layout.label_idx is not None:
-            normal = map(layout.normal.__contains__, _labels(batch, layout))
-            anomalous[regular] = ~np.fromiter(normal, bool, regular.size)
-    for i in np.flatnonzero(slow).tolist():
+    parsed = _loadtxt_lines(lines, text, (commas == layout.n_commas) & ~blank,
+                            layout, values)
+    rows = np.flatnonzero(parsed)
+    if layout.label_idx is not None and rows.size:
+        normal = map(layout.normal.__contains__, _labels(_pick(lines, rows), layout))
+        anomalous[rows] = ~np.fromiter(normal, bool, rows.size)
+    for i in np.flatnonzero(~blank & ~parsed).tolist():
         row = _row_values(next(csv.reader([lines[i]])), layout)
         if row is not None:
             values[i], anomalous[i] = row
     keep = ~blank & np.isfinite(values).all(axis=1)
-    return values[keep], anomalous[keep], int(n - blank.sum() - keep.sum())
+    return values, anomalous, keep, int(n - blank.sum() - keep.sum())
+
+
+def _pick(lines, rows):
+    """lines[rows] for a sorted index array; lines itself when it is all."""
+    return lines if rows.size == len(lines) else [lines[i] for i in rows.tolist()]
 
 
 def _labels(lines, layout):
@@ -221,6 +268,61 @@ def _labels(lines, layout):
     after = layout.n_commas - layout.label_idx  # fields right of the label
     split = operator.methodcaller("rsplit", ",", after + 1)
     return map(str.strip, map(operator.itemgetter(-after - 1), map(split, lines)))
+
+
+def _loadtxt_lines(lines, text, regular, layout, out):
+    """Parse the regular lines (a mask) with np.loadtxt into their rows of
+    out. Returns the mask of the lines parsed; the others are left to the
+    per-row rule.
+
+    One call parses the whole batch when numpy accepts it. When it does
+    not, the lines _suspects names are set aside and one more call parses
+    the rest; _loadtxt_rows finds what the scan misses (a "fan" cell,
+    "1_000", a non-ASCII letter), so the result never rests on the scan.
+    """
+    rows = np.flatnonzero(regular)
+    if not rows.size:
+        return regular
+    try:
+        out[rows] = _loadtxt(_pick(lines, rows), layout.feat_idx)
+        return regular
+    except ValueError:
+        pass
+    parsed = regular & ~_suspects(lines, text, layout)
+    rows = np.flatnonzero(parsed)
+    rejected = _loadtxt_rows(_pick(lines, rows), layout.feat_idx, out, rows)
+    parsed[rows[rejected]] = False
+    return parsed
+
+
+def _suspects(lines, text, layout):
+    """Mask of the lines holding an alien letter (_ALIEN_LETTERS) inside a
+    selected feature field: numpy rejects each of them. str.find over the
+    chunk text finds the letters; commas are counted only on lines with a
+    hit, so a text label or protocol column outside the selection makes
+    no line a suspect."""
+    suspect = np.zeros(len(lines), dtype=bool)
+    hits = np.fromiter(itertools.chain.from_iterable(
+        _find_all(text, c) for c in _ALIEN_LETTERS), np.intp)
+    if not hits.size:
+        return suspect
+    lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+    ends = np.cumsum(lengths)
+    line = np.searchsorted(ends, hits, side="right")
+    starts = (ends - lengths)[line]
+    column = np.fromiter(map(text.count, itertools.repeat(","), starts.tolist(),
+                             hits.tolist()), np.intp, hits.size)
+    selected = np.zeros(layout.n_commas + 2, dtype=bool)  # the last: past the header
+    selected[layout.feat_idx] = True
+    suspect[line[selected[np.minimum(column, layout.n_commas + 1)]]] = True
+    return suspect
+
+
+def _find_all(text, char):
+    at = text.find(char)
+    while at >= 0:
+        yield at
+        at = text.find(char, at + 1)
 
 
 def _loadtxt_rows(lines, feat_idx, out, rows):
@@ -424,8 +526,13 @@ class SynthSpec:
             raise ParameterError("synthetic generator needs d >= 2 for correlation")
         if min(self.n_normal, self.n_near, self.n_far) < 0:
             raise ParameterError("counts must be non-negative")
-        if self.near_offset <= 0 or self.far_offset <= 0:
-            raise ParameterError("offsets must be positive")
+        for name in ("near_offset", "far_offset"):
+            offset = getattr(self, name)  # scaled by sqrt(d) in synth_generate
+            if not 0 < offset * math.sqrt(self.d) < math.inf:
+                raise ParameterError(
+                    f"{name} {offset} must be positive, and finite times sqrt(d)")
+        if self.seed < 0:
+            raise ParameterError(f"seed {self.seed} must be non-negative")
         if not -1.0 < self.rho < 1.0:
             raise ParameterError(f"rho {self.rho} must lie in (-1, 1)")
 

@@ -13,6 +13,7 @@ flows through the latent Gram only.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, asdict, replace
 
@@ -440,21 +441,22 @@ def model_from_dict(doc: dict) -> TrainedModel:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ParameterError(f"unsupported checkpoint format_version {version!r}")
     try:
+        dims = doc["layer_dims"]
+        if not all(type(d) is int for d in dims):  # int() would read 2.7 as 2
+            raise ValueError(f"layer_dims must be integers, got {dims!r:.60}")
         params = NetworkParams(
-            layer_dims=[int(d) for d in doc["layer_dims"]],
-            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-            biases_enc=[np.asarray(b, dtype=np.float64) for b in doc["biases_enc"]],
-            biases_dec=[np.asarray(b, dtype=np.float64) for b in doc["biases_dec"]],
+            layer_dims=list(dims),
+            weights=[_floats(w) for w in doc["weights"]],
+            biases_enc=[_floats(b) for b in doc["biases_enc"]],
+            biases_dec=[_floats(b) for b in doc["biases_dec"]],
             activation=doc["activation"],
         )
         rs = doc["robust_stats"]
         stats = robust.RobustLatentStats(
-            **{key: np.asarray(rs[key], dtype=np.float64)
-               for key in ("medians", "mads", "corr", "corr_inv")})
+            **{key: _floats(rs[key]) for key in ("medians", "mads", "corr", "corr_inv")})
         cs = doc["classical_stats"]
         cstats = robust.ClassicalStats(
-            **{key: np.asarray(cs[key], dtype=np.float64)
-               for key in ("means", "cov", "cov_inv")})
+            **{key: _floats(cs[key]) for key in ("means", "cov", "cov_inv")})
         config = data.dataclass_from_dict(TrainConfig, doc["train_config"],
                                           "checkpoint train_config")
         history = [LossBreakdown(**h) for h in doc["loss_history"]]
@@ -462,15 +464,38 @@ def model_from_dict(doc: dict) -> TrainedModel:
         model = TrainedModel(
             params=params, robust_stats=stats, classical_stats=cstats,
             config=config, loss_history=history,
-            train_score_medians={mode: float(v) for mode, v
+            train_score_medians={mode: _number(v) for mode, v
                                  in dict(doc["train_score_medians"]).items()},
-            normalization=None if norm is None else [tuple(map(float, r)) for r in norm],
+            normalization=None if norm is None else [tuple(map(_number, r)) for r in norm],
             feature_names=doc.get("feature_names"),
         )
         _check_arrays(model)
         return model
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"malformed checkpoint: {type(exc).__name__}: {exc}") from None
+
+
+_JSON_NUMBERS = frozenset((int, float))  # type(True) is bool, not int
+
+
+def _number(value):
+    """value as a float. ValueError unless json read it as a number:
+    float() would also take "0.1" and true."""
+    if type(value) not in _JSON_NUMBERS:
+        raise ValueError(f"{value!r:.40} is not a number")
+    return float(value)
+
+
+def _floats(value):
+    """A number or nested lists of numbers as a float64 array; the numbers
+    are type-checked as _number does, in one pass."""
+    leaves = [value]
+    while leaves and isinstance(leaves[0], list):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not _JSON_NUMBERS.issuperset(map(type, leaves)):
+        for v in leaves:
+            _number(v)
+    return np.asarray(value, dtype=np.float64)
 
 
 def load_checkpoint(path) -> TrainedModel:

@@ -39,6 +39,19 @@ CONFIG_VALUES = {
                 {"beta": 1e300}, {"delta": 1}, [1]],
     "unknown": [1],
 }
+# every SynthSpec field, each with values in and out of its range,
+# non-finite and of the wrong type; counts and d stay small
+SPEC_VALUES = {
+    "n_normal": [0, 1, 30, -1, 2.5, True, "3", None],
+    "n_near": [0, 5, -2, 1.0, False],
+    "n_far": [0, 5, -2, NAN, "1"],
+    "d": [2, 3, 8, 1, 0, -2, 4.0, True],
+    "rho": [0.0, 0.7, -0.7, 1 - 1e-16, 1.0, -1.0, 1.5, NAN, INF, -INF, "0.5"],
+    "near_offset": [1.5, 1e-300, 1e300, 1e308, 0, -1.0, NAN, INF, -INF, "x", True],
+    "far_offset": [8.0, 1, 1e-300, 1e308, 0.0, -8.0, NAN, INF, -INF, None],
+    "seed": [0, 1, 2**70, -1, -2**70, 1.5, NAN, "7"],
+    "unknown": [1],
+}
 CELLS = ["", "x", "nan", "inf", "-inf", "1e400", "1e308", "-1e308", '"1.5"', '"a,b"',
          " 2 ", "1,5", "#", "\x00", "Benign", "\u00a01",
          '"' + "x" * (csv.field_size_limit() + 1) + '"']  # csv.Error: was exit 1
@@ -174,3 +187,21 @@ def test_mutated_csv_keeps_the_exit_contract(base, data):
         mutated = out / "flows.csv"
         mutated.write_text(text, encoding="utf-8")
         _score_and_eval(model, mutated, out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(changes=st.lists(st.sampled_from(sorted(SPEC_VALUES)), max_size=4, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries(
+           {k: st.sampled_from(SPEC_VALUES[k]) for k in keys})))
+def test_mutated_synth_spec_keeps_the_exit_contract(changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_text(json.dumps({"n_normal": 30, "n_near": 5, "n_far": 5, "d": 3,
+                                    **changes}))  # NaN/Infinity tokens included
+        out = Path(tmp) / "synth.csv"
+        if _run(["synth", "--spec", spec, "--out", out]) == 0:
+            with open(out, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                features = [v for k, v in row.items() if k not in ("label", "tag")]
+                assert all(math.isfinite(float(v)) for v in features), (changes, row)

@@ -131,10 +131,12 @@ _CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "x", "", " 1 ", "#",
-                     "2#3", "1_000", "0x10", "\u0661", "\u00a02", "1\x1c", "1 2"]),
+                     "2#3", "1_000", "0x10", "\u0661", "\u00a02", "1\x1c", "1 2",
+                     # the text-cell scan: alien letters, float letters only
+                     "tcp", "Infinity", "nAn", "1E-3", "fan"]),
 )
 _LABELS = st.sampled_from(["0", "1", "Benign", "Attack", " benign ", "normal ",
-                           "x y", ""])
+                           "x y", "", "BENIGN", "DoS"])
 _ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -205,6 +207,93 @@ def test_load_csv_dirty_fixture_matches_row_reference():
         assert np.array_equal(got[0], expected[0])
         assert got[1:] == expected[1:]
     assert got[0].shape[1] == 4 and got[3] == expected[3] > 0
+
+
+def _flow_lines(rng, n, d, text_every=0, digits=None):
+    """n CSV lines of d features and a BENIGN/DoS label; every text_every-th
+    line has a "tcp" cell in a feature column."""
+    x = rng.normal(size=(n, d))
+    if digits is not None:
+        x = x.round(digits)
+    lines = [",".join(map(repr, row)) for row in x.tolist()]
+    for i in range(n):
+        if text_every and i % text_every == 3:
+            cells = lines[i].split(",")
+            cells[i % d] = "tcp"
+            lines[i] = ",".join(cells)
+        lines[i] += ",BENIGN\n" if i % 4 else ",DoS\n"
+    return lines
+
+
+def _write_flows(path, d, lines):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n")
+        fh.writelines(lines)
+
+
+def test_load_csv_parses_text_cell_chunks_in_two_numpy_calls(tmp_path):
+    # 3 chunks of 200 lines, 20 with a text cell in a feature column; the
+    # text label column must not make the other lines suspects
+    path = tmp_path / "flows.csv"
+    lines = _flow_lines(np.random.default_rng(8), 600, 5, text_every=10)
+    _write_flows(path, 5, lines)
+    calls = {"loadtxt": 0, "row": 0, "chunks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    chunk_bytes = sum(map(len, lines[:200])) - 1  # readlines stops past the hint
+    with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(data, "_loadtxt", counted("loadtxt", data._loadtxt)), \
+            mock.patch.object(data, "_row_values", counted("row", data._row_values)), \
+            mock.patch.object(data, "_parse_lines", counted("chunks", data._parse_lines)):
+        got = _outcome(data.load_csv, path, label_column="label")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:] and got[3] == 60
+    assert calls["chunks"] == 3
+    assert calls["loadtxt"] <= 2 * calls["chunks"]
+    assert calls["row"] == 60
+
+
+@pytest.mark.parametrize("text_every", [0, 50])
+def test_load_csv_peak_memory_is_about_one_output_array(tmp_path, text_every):
+    # the kept rows go into one buffer: no per-chunk parts, no concatenate
+    n, d = 20000, 41
+    path = tmp_path / "flows.csv"
+    _write_flows(path, d, _flow_lines(np.random.default_rng(9), n, d, text_every))
+    tracemalloc.start()
+    try:
+        fm, _ = data.load_csv(path, label_column="label")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fm.features.shape[0] == n - (n // 50 if text_every else 0)
+    assert peak < 1.8 * n * d * 8
+
+
+def test_load_csv_grows_its_buffer_when_later_lines_are_shorter(tmp_path):
+    # the first chunk's long lines make the row estimate too small
+    rng = np.random.default_rng(10)
+    path = tmp_path / "flows.csv"
+    _write_flows(path, 6, _flow_lines(rng, 150, 6) + _flow_lines(rng, 900, 6, 7, digits=1))
+    sizes = []
+    resize = data._Output._resize
+
+    def recorded(out, size):
+        sizes.append((out.anomalous.shape[0], size))
+        resize(out, size)
+
+    with mock.patch.object(data, "_CHUNK_BYTES", 4000), \
+            mock.patch.object(data._Output, "_resize", recorded):
+        got = _outcome(data.load_csv, path, label_column="label")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    assert any(0 < held < size for held, size in sizes)  # past the first estimate
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:]
 
 
 def test_load_csv_invalid_utf8_is_data_error(tmp_path):
@@ -385,6 +474,17 @@ def test_synth_generate_near_stays_close():
 def test_synth_generate_rejects_low_dim():
     with pytest.raises(ParameterError):
         data.synth_generate(data.SynthSpec(d=1))
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": -1},  # was a bare numpy ValueError: exit 1
+    {"near_offset": float("nan")},  # was 250 NaN rows
+    {"far_offset": float("inf")},
+    {"far_offset": 1e308},  # times sqrt(10) overflows
+])
+def test_synth_spec_negative_seed_or_bad_offset_is_parameter_error(change):
+    with pytest.raises(ParameterError):
+        data.synth_generate(data.SynthSpec(**change))
 
 
 def test_split_counts():

@@ -467,6 +467,28 @@ def test_checkpoint_wrong_value_type_is_malformed(path, value):
         train.model_from_dict(doc)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("weights", 0, 1, 2), "0.1"),  # float() reads it: scored like 0.1
+    (("biases_dec", 0, 3), "-2"),
+    (("robust_stats", "medians", 0), True),
+    (("classical_stats", "cov", 1, 0), False),
+    (("normalization", 2, 1), "1.5"),
+    (("train_score_medians", "robust_md"), True),
+])
+def test_checkpoint_number_of_another_json_type_is_malformed(path, value):
+    doc = _edited_checkpoint(path, value)
+    with pytest.raises(ParameterError, match="malformed checkpoint.*not a number"):
+        train.model_from_dict(doc)
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_checkpoint_fractional_layer_width_is_malformed(at):
+    doc = _small_checkpoint()
+    doc["layer_dims"][at] += 0.7  # int() reads it back as the width it was
+    with pytest.raises(ParameterError, match="malformed checkpoint.*layer_dims"):
+        train.model_from_dict(doc)
+
+
 def test_checkpoint_malformed_or_missing(tmp_path):
     with pytest.raises(ParameterError, match="malformed checkpoint"):
         train.model_from_dict({"format_version": 1})
