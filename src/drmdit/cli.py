@@ -5,6 +5,7 @@ degeneracy error.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import sys
@@ -47,20 +48,61 @@ class FeatureSpec:
         default_factory=lambda: list(data_mod.DEFAULT_NORMAL_VALUES))
 
 
-def _load_dataset(csv_path, features_json=None, label_column=None, columns=None):
-    """Read the CSV once. --features keys take precedence over columns
-    (the checkpoint's, when scoring); --labels over its label_column."""
-    spec = data_mod.dataclass_from_dict(
+def _feature_spec(features_json):
+    return data_mod.dataclass_from_dict(
         FeatureSpec, _read_json(features_json, "--features"), "--features")
-    dataset, dropped = data_mod.load_csv(
-        csv_path,
-        label_column=label_column or spec.label_column,
-        columns=spec.columns or columns,
-        normal_values=tuple(spec.normal_values),
-    )
+
+
+def _echo_dropped(dropped):
     if dropped:
         click.echo(f"dropped {dropped} unparseable/non-finite rows", err=True)
+
+
+def _load_dataset(csv_path, features_json=None):
+    """Read the whole CSV; --features selects its columns and label."""
+    spec = _feature_spec(features_json)
+    dataset, dropped = data_mod.load_csv(
+        csv_path, label_column=spec.label_column, columns=spec.columns,
+        normal_values=tuple(spec.normal_values))
+    _echo_dropped(dropped)
     return dataset
+
+
+class _ScoringRows:
+    """A CSV's scoring columns as detect.score and detect.evaluate take
+    them, read and normalized with the training record one chunk at a
+    time: features iterates the chunks' rows, and labels holds the label
+    column (None without one) once they are used up."""
+
+    def __init__(self, model, source):
+        self.labeled = source.labeled
+        self.labels = None
+        self.features = self._chunks(model, source)
+
+    def _chunks(self, model, source):
+        labels, dropped = [], 0
+        for features, anomalous, n_dropped in source:
+            if model.normalization is not None:
+                data_mod.minmax_rows(features, model.normalization, out=features)
+            if self.labeled:
+                labels.append(anomalous)
+            dropped += n_dropped
+            yield features
+        _echo_dropped(dropped)
+        if self.labeled:
+            self.labels = np.concatenate(labels)
+
+
+@contextlib.contextmanager
+def _scoring_rows(model, data_path, features_json, label_column=None):
+    """Open the CSV for scoring. Its columns are --features' columns, else
+    the checkpoint's feature names; --labels takes precedence over
+    --features' label_column."""
+    spec = _feature_spec(features_json)
+    with data_mod.CsvChunks(data_path, label_column=label_column or spec.label_column,
+                            columns=spec.columns or model.feature_names,
+                            normal_values=tuple(spec.normal_values)) as source:
+        yield _ScoringRows(model, source)
 
 
 @click.group()
@@ -98,15 +140,6 @@ def cli_train(data_path, features_json, config_json, out_path, seed):
         _fail(exc)
 
 
-def _prepare_scoring_data(model, data_path, features_json, label_column=None):
-    """The CSV's checkpoint columns, normalized with the training record."""
-    dataset = _load_dataset(data_path, features_json, label_column=label_column,
-                            columns=model.feature_names)
-    if model.normalization is not None:
-        dataset = data_mod.apply_minmax(dataset, model.normalization)
-    return dataset
-
-
 @main.command("score")
 @click.option("--model", "model_path", required=True, type=click.Path())
 @click.option("--data", "data_path", required=True, type=click.Path())
@@ -118,14 +151,14 @@ def cli_score(model_path, data_path, features_json, mode, out_prefix):
     """Score data against a checkpoint; write trace and report files."""
     try:
         model = train_mod.load_checkpoint(model_path)
-        dataset = _prepare_scoring_data(model, data_path, features_json)
-        scores = detect.score(model, dataset, mode=mode)
+        with _scoring_rows(model, data_path, features_json) as rows:
+            scores = detect.score(model, rows, mode=mode)
         center = detect.fold_center(model, scores, mode)
         report = detect.ScoreReport(
             scores=scores, transformed_scores=detect.fold_scores(scores, center),
             predictions=np.zeros(scores.size, dtype=np.int64),
             tags=["-"] * scores.size, band=None,
-            scoring_mode=mode, labels=dataset.labels,
+            scoring_mode=mode, labels=rows.labels,
         )
         paths = detect.emit_report(report, out_prefix)
         click.echo("wrote " + " and ".join(paths))
@@ -149,21 +182,21 @@ def cli_eval(model_path, data_path, features_json, label_column, mode, band,
     """Band-classify labeled data and report metrics."""
     try:
         model = train_mod.load_checkpoint(model_path)
-        dataset = _prepare_scoring_data(model, data_path, features_json,
-                                        label_column=label_column)
-        if dataset.labels is None:
-            raise ParameterError(f"label column {label_column!r} not found")
-        if band == "auto":
-            band_obj = None
-        else:
-            try:
-                low, high = (float(v) for v in band.split(","))
-            except ValueError:
-                raise ParameterError(
-                    f"--band must be 'auto' or 'low,high', got {band!r}"
-                ) from None
-            band_obj = detect.ScoreBand(low=low, high=high)
-        report = detect.evaluate(model, dataset, mode=mode, band=band_obj)
+        with _scoring_rows(model, data_path, features_json,
+                           label_column=label_column) as rows:
+            if not rows.labeled:
+                raise ParameterError(f"label column {label_column!r} not found")
+            if band == "auto":
+                band_obj = None
+            else:
+                try:
+                    low, high = (float(v) for v in band.split(","))
+                except ValueError:
+                    raise ParameterError(
+                        f"--band must be 'auto' or 'low,high', got {band!r}"
+                    ) from None
+                band_obj = detect.ScoreBand(low=low, high=high)
+            report = detect.evaluate(model, rows, mode=mode, band=band_obj)
         paths = detect.emit_report(report, out_prefix)
         click.echo(json.dumps(report.metrics, indent=1, sort_keys=True))
         click.echo("wrote " + " and ".join(paths))

@@ -76,64 +76,35 @@ def load_csv(path, label_column=None, columns=None,
     returned alongside. Blank lines are skipped and not counted. Label
     values in normal_values map to 0, everything else to 1. When neither
     columns nor label_column is given, a "label" column (the layout
-    save_csv writes) is the label column, not a feature.
+    save_csv writes) is the label column, not a feature. A UTF-8 byte
+    order mark before the header is not part of the first column's name.
 
-    The file is read in chunks of lines. Lines with the header's field
-    count go to np.loadtxt in one batch, and their labels are split out of
-    the line text. When numpy rejects the batch, the lines with a letter
-    no float literal holds inside a selected field go to the per-row rule
-    (_row_values) and the rest to one more np.loadtxt call; a line numpy
-    still rejects, and every other line, is read by the per-row rule too.
-    From the first chunk holding a quote (a field may span lines) or a
-    control character numpy reads differently from float(), the rest of
-    the file goes through csv.reader and the per-row rule. Kept rows are
-    written into one output buffer (_Output).
+    The file is read in chunks of lines (CsvChunks). Lines with the
+    header's field count go to np.loadtxt in one batch, and their labels
+    are split out of the line text. When numpy rejects the batch, the lines
+    with a letter no float literal holds inside a selected field go to the
+    per-row rule (_row_values) and the rest to one more np.loadtxt call; a
+    line numpy still rejects, and every other line, is read by the per-row
+    rule too. From the first chunk holding a quote (a field may span lines)
+    or a control character numpy reads differently from float(), the rest
+    of the file goes through csv.reader and the per-row rule, in batches of
+    _RULE_ROWS rows. Kept rows are written into one output buffer
+    (_Output).
 
     Returns (FeatureMatrix, dropped_count).
     """
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise DataError(f"{path}: empty file (missing header)")
-            header = [h.strip() for h in header]
-            if columns is None and label_column is None and "label" in header:
-                label_column = "label"
-            if columns is None:
-                # "tag" is the provenance column save_csv writes; never a feature
-                feature_names = [h for h in header if h not in (label_column, "tag")]
-            else:
-                missing = [c for c in columns if c not in header]
-                if missing:
-                    raise DataError(f"{path}: missing columns {missing}")
-                feature_names = list(columns)
-            if label_column is not None and label_column not in header:
-                raise DataError(f"{path}: missing label column {label_column!r}")
-            layout = _Layout(
-                n_commas=len(header) - 1,
-                feat_idx=[header.index(c) for c in feature_names],
-                label_idx=header.index(label_column) if label_column else None,
-                normal=frozenset(normal_values),
-            )
-            out = _Output(len(feature_names), os.fstat(fh.fileno()).st_size)
-            _read_chunks(fh, layout, out)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:  # a field over csv's size limit; NUL before 3.11
-        raise DataError(f"{path}: unreadable CSV ({exc})") from None
-    except OSError as exc:  # a directory, an unreadable file
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with CsvChunks(path, label_column, columns, normal_values) as source:
+        out = _Output(len(source.feature_names), source)
+        for features, anomalous, dropped in source:
+            out.add(features, anomalous, dropped)
     features, anomalous = out.result()
-    if not features.shape[0]:
-        raise DataError(f"{path}: no usable rows")
     return FeatureMatrix(features=features,
-                         labels=None if layout.label_idx is None else anomalous,
-                         feature_names=feature_names), out.dropped
+                         labels=anomalous if source.labeled else None,
+                         feature_names=source.feature_names), out.dropped
 
 
 _CHUNK_BYTES = 1 << 20  # size hint for fh.readlines(): one np.loadtxt batch
+_RULE_ROWS = 256  # csv.reader rows per batch once a chunk holds a quote
 # '"' may open a field that spans lines; np.loadtxt cuts a field at NUL and
 # strips \x1c-\x1f as whitespace, where csv and float() do not
 _LINE_SPLIT_UNSAFE = '"\x00\x1c\x1d\x1e\x1f'
@@ -153,30 +124,132 @@ class _Layout(typing.NamedTuple):
     normal: frozenset
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Turn the errors of reading path into a DataError naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a field over csv's size limit; NUL before 3.11
+        raise DataError(f"{path}: unreadable CSV ({exc})") from None
+    except OSError as exc:  # a directory, an unreadable file
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+class CsvChunks:
+    """A headered CSV read one chunk of lines at a time by load_csv's rules.
+
+    feature_names are the selected columns and labeled tells whether there
+    is a label column. Iterating yields (features, is_anomaly, dropped) for
+    the kept rows of each chunk, in file order; the arrays are new, so the
+    caller may change them in place. A file with no kept row raises "no
+    usable rows" once the last chunk is read. Use it in a with-block,
+    which closes the file.
+    """
+
+    def __init__(self, path, label_column=None, columns=None,
+                 normal_values=DEFAULT_NORMAL_VALUES):
+        if not os.path.exists(path):
+            raise DataError(f"no such file: {path}")
+        self.path = path
+        self.chars = self.lines = 0  # of the text read so far
+        with _reading(path):
+            # utf-8-sig: a byte order mark is not part of the first name
+            self._fh = open(path, "r", encoding="utf-8-sig", newline="")
+            try:
+                self._layout, self.feature_names = _header(
+                    self._fh, path, label_column, columns, normal_values)
+                self.size = os.fstat(self._fh.fileno()).st_size
+            except BaseException:
+                self._fh.close()
+                raise
+        self.labeled = self._layout.label_idx is not None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __iter__(self):
+        kept = 0
+        with _reading(self.path):
+            for chunk in self._chunks():
+                kept += chunk[0].shape[0]
+                yield chunk
+        if not kept:
+            raise DataError(f"{self.path}: no usable rows")
+
+    def _chunks(self):
+        fh, layout = self._fh, self._layout
+        for chunk in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
+            text = "".join(chunk)
+            if any(c in text for c in _LINE_SPLIT_UNSAFE):
+                lines = self._counted(itertools.chain(chunk, fh))
+                yield from _rule_rows(csv.reader(lines), layout)
+                return
+            self.chars += len(text)
+            self.lines += len(chunk)
+            yield _parse_lines(chunk, text, layout)
+
+    def _counted(self, lines):
+        for line in lines:
+            self.chars += len(line)
+            self.lines += 1
+            yield line
+
+
+def _header(fh, path, label_column, columns, normal_values):
+    """Read the header line: (the _Layout of the selected columns, their
+    names)."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{path}: empty file (missing header)")
+    header = [h.strip() for h in header]
+    if columns is None and label_column is None and "label" in header:
+        label_column = "label"
+    if columns is None:
+        # "tag" is the provenance column save_csv writes; never a feature
+        feature_names = [h for h in header if h not in (label_column, "tag")]
+    else:
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        feature_names = list(columns)
+    if label_column is not None and label_column not in header:
+        raise DataError(f"{path}: missing label column {label_column!r}")
+    layout = _Layout(
+        n_commas=len(header) - 1,
+        feat_idx=[header.index(c) for c in feature_names],
+        label_idx=header.index(label_column) if label_column else None,
+        normal=frozenset(normal_values),
+    )
+    return layout, feature_names
+
+
 class _Output:
     """The kept rows of load_csv in one features buffer and one labels
     buffer. Their size is estimated from the file size and the characters
     per line read so far; they grow when the estimate falls short and are
     cut to the rows kept at the end (ndarray.resize, a realloc)."""
 
-    def __init__(self, d, file_size):
+    def __init__(self, d, source):
         self.features = np.empty((0, d))
         self.anomalous = np.empty(0, dtype=np.int64)
-        self.file_size = file_size
-        self.n = self.dropped = self.chars = self.lines = 0
+        self.source = source
+        self.n = self.dropped = 0
 
-    def add(self, values, anomalous, keep, dropped, chars=0, lines=0):
-        """Append the rows of values and anomalous where keep is set; chars
-        and lines are the size of the text they came from."""
-        self.chars += chars
-        self.lines += lines
+    def add(self, features, anomalous, dropped):
+        """Append one chunk's kept rows."""
         self.dropped += dropped
-        stop = self.n + int(np.count_nonzero(keep))
+        stop = self.n + features.shape[0]
         if stop > self.anomalous.shape[0]:
-            left = max(self.file_size - self.chars, 0) * self.lines // max(self.chars, 1)
+            src = self.source
+            left = max(src.size - src.chars, 0) * src.lines // max(src.chars, 1)
             self._resize(stop + left + left // 16)
-        np.compress(keep, values, axis=0, out=self.features[self.n:stop])
-        np.compress(keep, anomalous, out=self.anomalous[self.n:stop])
+        self.features[self.n:stop] = features
+        self.anomalous[self.n:stop] = anomalous
         self.n = stop
 
     def result(self):
@@ -204,36 +277,30 @@ def _row_values(raw, layout):
     return vals, label not in layout.normal
 
 
-def _read_chunks(fh, layout, out):
-    """Parse fh's remaining lines into out, chunk by chunk in file order."""
-    for chunk in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
-        text = "".join(chunk)
-        if any(c in text for c in _LINE_SPLIT_UNSAFE):
-            out.add(*_rule_rows(csv.reader(itertools.chain(chunk, fh)), layout))
-            return
-        out.add(*_parse_lines(chunk, text, layout), len(text), len(chunk))
-
-
 def _rule_rows(reader, layout):
-    """Every row of a csv.reader by the per-row rule: (features,
-    is_anomaly, keep, dropped) as _parse_lines returns them."""
-    rows, anomalous, dropped = [], [], 0
-    for raw in reader:
-        if not raw:
-            continue
-        row = _row_values(raw, layout)
-        if row is None:
-            dropped += 1
-        else:
-            rows.append(row[0])
-            anomalous.append(row[1])
-    return (np.array(rows, dtype=np.float64).reshape(len(rows), len(layout.feat_idx)),
-            np.array(anomalous, dtype=np.int64), np.ones(len(rows), dtype=bool), dropped)
+    """The rows of a csv.reader by the per-row rule, _RULE_ROWS rows at a
+    time: (features, is_anomaly, dropped) of each batch's kept rows."""
+    while True:
+        rows, anomalous, dropped, seen = [], [], 0, 0
+        for raw in itertools.islice(reader, _RULE_ROWS):
+            seen += 1
+            if not raw:
+                continue
+            row = _row_values(raw, layout)
+            if row is None:
+                dropped += 1
+            else:
+                rows.append(row[0])
+                anomalous.append(row[1])
+        if not seen:
+            return
+        yield (np.array(rows, dtype=np.float64).reshape(len(rows), len(layout.feat_idx)),
+               np.array(anomalous, dtype=np.int64), dropped)
 
 
 def _parse_lines(lines, text, layout):
     """One chunk of quote-free lines, text their concatenation. Returns
-    (features, is_anomaly, keep, dropped) per line. Lines with the
+    (features, is_anomaly, dropped) of the kept lines. Lines with the
     header's comma count go through _loadtxt_lines, their labels through
     _labels; the rest, and the lines _loadtxt_lines leaves, through
     csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
@@ -254,7 +321,10 @@ def _parse_lines(lines, text, layout):
         if row is not None:
             values[i], anomalous[i] = row
     keep = ~blank & np.isfinite(values).all(axis=1)
-    return values, anomalous, keep, int(n - blank.sum() - keep.sum())
+    kept = int(keep.sum())
+    if kept < n:
+        values, anomalous = values[keep], anomalous[keep]
+    return values, anomalous, int(n - blank.sum() - kept)
 
 
 def _pick(lines, rows):
@@ -463,26 +533,34 @@ def fit_minmax(train: FeatureMatrix):
 
 
 def apply_minmax(data: FeatureMatrix, record) -> FeatureMatrix:
-    """(x - min) / (max - min) with the TRAINING record.
+    """(x - min) / (max - min) with the TRAINING record (minmax_rows), into
+    one new N x d array; data is left as it was."""
+    return FeatureMatrix(features=minmax_rows(data.features, record),
+                         labels=data.labels, feature_names=list(data.feature_names),
+                         normalization=list(record), tags=data.tags)
+
+
+def minmax_rows(x, record, out=None):
+    """(x - min) / (max - min) per column of the N x d array x, with the
+    TRAINING record, written into out: a new array by default, x itself
+    to scale in place.
 
     Constant training features map to 0. Test values outside the training
     range extrapolate beyond [0, 1].
     """
-    if len(record) != data.n_features:
+    if len(record) != x.shape[1]:
         raise ParameterError(
-            f"normalization record has {len(record)} features, data has {data.n_features}"
+            f"normalization record has {len(record)} features, data has {x.shape[1]}"
         )
     lo = np.array([r[0] for r in record])
     hi = np.array([r[1] for r in record])
     span = hi - lo
     nonconst = span > 0
-    # one N x d array: the difference, divided in place, constants zeroed
-    out = np.subtract(data.features, lo)
+    # the difference, divided in place, constants zeroed
+    out = np.subtract(x, lo, out=out)
     np.divide(out, span, out=out, where=nonconst)
     out[:, ~nonconst] = 0.0
-    return FeatureMatrix(features=out, labels=data.labels,
-                         feature_names=list(data.feature_names),
-                         normalization=list(record), tags=data.tags)
+    return out
 
 
 def skew_filter(train: FeatureMatrix):

@@ -7,6 +7,7 @@ equality counts as normal.
 """
 from __future__ import annotations
 
+import collections.abc
 import itertools
 import json
 from dataclasses import dataclass
@@ -18,7 +19,9 @@ from .data import open_output
 from .errors import DegeneracyError, ParameterError
 
 SCORING_MODES = ("robust_md", "classical_md", "euclidean_recon")
-_TRACE_BLOCK = 1024  # trace rows joined and written at a time
+_SCORE_BLOCK = 4096  # rows scored at a time, however they arrive
+_TRACE_BLOCK = 1024  # trace rows converted, joined and written at a time
+_TAGS = np.array(["normal", "near", "far"], dtype=object)  # classify's tags by code
 
 
 @dataclass(frozen=True)
@@ -46,43 +49,94 @@ class ScoreReport:
 
 
 def score(model, data, mode="robust_md"):
-    """Per-row anomaly scores for one of the three scoring modes. The
-    Mahalanobis modes run the encoder only. Non-finite scores are a
-    DegeneracyError."""
+    """Per-row anomaly scores for one of the three scoring modes.
+
+    data is an N x d array (or has one as .features), or an iterator of
+    such arrays whose rows are scored as one sequence. Either way the rows
+    are scored in consecutive _SCORE_BLOCK-row blocks, the last one
+    partial, so a row's score depends only on the rows of its block, never
+    on how the rows arrive. The Mahalanobis modes run the encoder only.
+    Non-finite scores are a DegeneracyError, raised once every row is
+    scored.
+    """
     if mode not in SCORING_MODES:
         raise ParameterError(f"mode must be one of {SCORING_MODES}, got {mode!r}")
-    features = np.asarray(getattr(data, "features", data), dtype=np.float64)
-    if features.shape[1] != model.params.layer_dims[0]:
-        raise ParameterError(
-            f"data has {features.shape[1]} features, model expects "
-            f"{model.params.layer_dims[0]}"
-        )
-    if mode == "euclidean_recon":
-        resid = autoenc.forward(model.params, features).reconstruction - features
-        s = np.mean(resid * resid, axis=1)
-    elif mode == "robust_md":
-        if model.robust_stats is None:
-            raise ParameterError("model has no frozen robust stats")
-        s = robust.robust_md(autoenc.encode(model.params, features), model.robust_stats)
+    if mode == "robust_md" and model.robust_stats is None:
+        raise ParameterError("model has no frozen robust stats")
+    if mode == "classical_md" and model.classical_stats is None:
+        raise ParameterError("model has no frozen classical stats")
+    features = getattr(data, "features", data)
+    if isinstance(features, collections.abc.Iterator):
+        chunks, s = features, np.empty(0)
     else:
-        if model.classical_stats is None:
-            raise ParameterError("model has no frozen classical stats")
-        s = robust.classical_md(autoenc.encode(model.params, features),
-                                model.classical_stats)
-    bad = s.size - np.count_nonzero(np.isfinite(s))
+        features = np.asarray(features, dtype=np.float64)
+        chunks, s = [features], np.empty(len(features))
+    n = 0
+    for block in _blocks(chunks, model.params.layer_dims[0]):
+        stop = n + block.shape[0]
+        if stop > s.size:
+            s.resize(max(2 * s.size, stop), refcheck=False)
+        s[n:stop] = _block_scores(model, block, mode)
+        n = stop
+    s.resize(n, refcheck=False)
+    bad = n - np.count_nonzero(np.isfinite(s))
     if bad:
-        raise DegeneracyError(f"{bad} of {s.size} {mode} scores are not finite")
+        raise DegeneracyError(f"{bad} of {n} {mode} scores are not finite")
     return s
 
 
+def _blocks(chunks, width):
+    """The rows of chunks (arrays of width columns) in consecutive
+    _SCORE_BLOCK-row blocks, the last one partial. A block that lies inside
+    one chunk is a view of it; the others are assembled in one buffer, so
+    each block must be used before the next is drawn."""
+    buf, held = None, 0
+    for rows in chunks:
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ParameterError(
+                f"data of shape {rows.shape} does not have the {width} features "
+                "the model expects")
+        start = 0
+        if held:
+            start = min(_SCORE_BLOCK - held, rows.shape[0])
+            buf[held:held + start] = rows[:start]
+            held += start
+            if held < _SCORE_BLOCK:
+                continue
+            yield buf
+            held = 0
+        stop = start + (rows.shape[0] - start) // _SCORE_BLOCK * _SCORE_BLOCK
+        for i in range(start, stop, _SCORE_BLOCK):
+            yield rows[i:i + _SCORE_BLOCK]
+        if stop < rows.shape[0]:
+            if buf is None:
+                buf = np.empty((_SCORE_BLOCK, width))
+            held = rows.shape[0] - stop
+            buf[:held] = rows[stop:]
+    if held:
+        yield buf[:held]
+
+
+def _block_scores(model, block, mode):
+    if mode == "euclidean_recon":
+        resid = autoenc.forward(model.params, block).reconstruction - block
+        return np.mean(resid * resid, axis=1)
+    if mode == "robust_md":
+        return robust.robust_md(autoenc.encode(model.params, block), model.robust_stats)
+    return robust.classical_md(autoenc.encode(model.params, block), model.classical_stats)
+
+
 def classify(scores, band: ScoreBand):
-    """Apply the two-sided band. Returns (predictions, tags)."""
+    """Apply the two-sided band. Returns (predictions, tags); tags is a
+    list holding one of the three shared strings of _TAGS per row."""
     s = np.asarray(scores, dtype=np.float64)
     near = s < band.low
     far = s > band.high
     predictions = (near | far).astype(np.int64)
-    tags = np.where(near, "near", np.where(far, "far", "normal"))
-    return predictions, tags
+    codes = near.astype(np.int8)
+    codes[far] = 2
+    return predictions, _TAGS.take(codes).tolist()
 
 
 def metrics(predictions, labels):
@@ -199,7 +253,11 @@ def select_band(scores, labels) -> ScoreBand:
 
 
 def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
-    """Score, band-classify, and (where labels exist) compute metrics."""
+    """Score, band-classify, and (where labels exist) compute metrics.
+
+    data is what score takes. Its labels are read once its rows are
+    scored, so a stream of chunks may collect them as it goes.
+    """
     s = score(model, data, mode=mode)
     labels = getattr(data, "labels", None)
     if band is None:
@@ -210,7 +268,7 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
     center = fold_center(model, s, mode)
     report = ScoreReport(
         scores=s, transformed_scores=fold_scores(s, center),
-        predictions=predictions, tags=tags.tolist(), band=band,
+        predictions=predictions, tags=tags, band=band,
         scoring_mode=mode, labels=labels,
     )
     if labels is not None:
@@ -237,14 +295,13 @@ def emit_report(report: ScoreReport, path_prefix):
         fh.write("\n")
     header = ["index", "score", "transformed_score"]
     columns = [map(str, range(report.scores.size)),
-               map(repr, np.asarray(report.scores, dtype=np.float64).tolist()),
-               map(repr, np.asarray(report.transformed_scores, dtype=np.float64).tolist())]
+               map(repr, _python_values(report.scores, np.float64)),
+               map(repr, _python_values(report.transformed_scores, np.float64))]
     if report.labels is not None:
         header.append("label")
-        columns.append(map(str, np.asarray(report.labels, dtype=np.int64).tolist()))
+        columns.append(map(str, _python_values(report.labels, np.int64)))
     header += ["prediction", "tag"]
-    columns += [map(str, np.asarray(report.predictions, dtype=np.int64).tolist()),
-                report.tags]
+    columns += [map(str, _python_values(report.predictions, np.int64)), report.tags]
     rows = zip(*columns)
     with open_output(trace_path) as fh:
         fh.write(",".join(header) + "\n")
@@ -252,3 +309,12 @@ def emit_report(report: ScoreReport, path_prefix):
             fh.write("\n".join(map(",".join, block)))
             fh.write("\n")
     return report_path, trace_path
+
+
+def _python_values(column, dtype):
+    """The values of column as Python numbers, converted _TRACE_BLOCK at a
+    time."""
+    values = np.asarray(column, dtype=dtype)
+    return itertools.chain.from_iterable(
+        values[start:start + _TRACE_BLOCK].tolist()
+        for start in range(0, values.size, _TRACE_BLOCK))

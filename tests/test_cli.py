@@ -426,3 +426,27 @@ def test_score_and_eval_write_the_same_score_column(runner, trained_checkpoint, 
                 for line in (tmp_path / f"{c}.trace.csv").read_text().splitlines()]
                for c in ("score", "eval")]
     assert columns[0] == columns[1]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_column(runner, synth_csv, tmp_path):
+    # was: train named the first feature '\ufefff0', and scoring the file
+    # with a BOM against a BOM-free checkpoint exited 3, missing ['f0']
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + synth_csv.read_bytes())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 64, "latent_dim": 2}))
+    for name in ("synth", "bom"):
+        result = runner.invoke(main, [
+            "train", "--data", str(tmp_path / f"{name}.csv"), "--config", str(cfg),
+            "--out", str(tmp_path / f"{name}.json")])
+        assert result.exit_code == 0, result.output
+    trained = (tmp_path / "bom.json").read_bytes()
+    assert json.loads(trained)["feature_names"][0] == "f0"
+    assert trained == (tmp_path / "synth.json").read_bytes()
+    for model, data in (("synth", "bom"), ("bom", "synth")):
+        result = runner.invoke(main, [
+            "score", "--model", str(tmp_path / f"{model}.json"), "--data",
+            str(tmp_path / f"{data}.csv"), "--out", str(tmp_path / f"{data}-scored")])
+        assert result.exit_code == 0, result.output
+    assert ((tmp_path / "bom-scored.trace.csv").read_bytes()
+            == (tmp_path / "synth-scored.trace.csv").read_bytes())

@@ -395,8 +395,9 @@ def test_emit_report_trace_bytes_do_not_depend_on_the_block_size(tmp_path,
 
 
 def test_emit_report_does_not_hold_the_whole_trace(tmp_path):
-    # Per extra row, the writer may keep the per-column Python values
-    # (about 80 bytes) but not the row's text line as well (about 250).
+    # Per extra row, the writer keeps nothing: it converts, joins and writes
+    # one block of rows at a time. Whole-column Python values cost about 80
+    # bytes a row, and the row's text line as well about 250.
     def peak(n):
         report = _trace_report(n)
         tracemalloc.start()
@@ -406,7 +407,7 @@ def test_emit_report_does_not_hold_the_whole_trace(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert (peak(40_000) - peak(20_000)) / 20_000 <= 120
+    assert (peak(40_000) - peak(20_000)) / 20_000 <= 10
 
 
 def test_evaluate_requires_labels_for_auto_band(small_model):
