@@ -13,7 +13,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import string
@@ -22,6 +21,7 @@ import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, ParameterError
 from .robust import MAD_FLOOR
@@ -79,17 +79,17 @@ def load_csv(path, label_column=None, columns=None,
     save_csv writes) is the label column, not a feature. A UTF-8 byte
     order mark before the header is not part of the first column's name.
 
-    The file is read in chunks of lines (CsvChunks). Lines with the
-    header's field count go to np.loadtxt in one batch, and their labels
-    are split out of the line text. When numpy rejects the batch, the lines
-    with a letter no float literal holds inside a selected field go to the
-    per-row rule (_row_values) and the rest to one more np.loadtxt call; a
-    line numpy still rejects, and every other line, is read by the per-row
-    rule too. From the first chunk holding a quote (a field may span lines)
-    or a control character numpy reads differently from float(), the rest
-    of the file goes through csv.reader and the per-row rule, in batches of
-    _RULE_ROWS rows. Kept rows are written into one output buffer
-    (_Output).
+    The file is read in chunks of lines (CsvChunks). One np.loadtxt call
+    parses a chunk, with a record dtype that types every column (_record),
+    so numpy itself rejects a line with another field count. When it
+    rejects the chunk, or skips a blank line, the lines with the header's
+    field count and no letter that no float literal holds inside a selected
+    field go to one more np.loadtxt call; a line numpy still rejects, and
+    every other line, is read by the per-row rule (_row_values). From the
+    first chunk holding a quote (a field may span lines) or a control
+    character numpy reads differently from float(), the rest of the file
+    goes through csv.reader and the per-row rule, in batches of _RULE_ROWS
+    rows. Kept rows are written into one output buffer (_Output).
 
     Returns (FeatureMatrix, dropped_count).
     """
@@ -122,6 +122,8 @@ class _Layout(typing.NamedTuple):
     feat_idx: list
     label_idx: int | None
     normal: frozenset
+    record: np.dtype  # of one row for np.loadtxt: see _record
+    block: bool  # the record's float block is the selection: view it
 
 
 @contextlib.contextmanager
@@ -219,12 +221,10 @@ def _header(fh, path, label_column, columns, normal_values):
         feature_names = list(columns)
     if label_column is not None and label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
-    layout = _Layout(
-        n_commas=len(header) - 1,
-        feat_idx=[header.index(c) for c in feature_names],
-        label_idx=header.index(label_column) if label_column else None,
-        normal=frozenset(normal_values),
-    )
+    feat_idx = [header.index(c) for c in feature_names]
+    label_idx = header.index(label_column) if label_column else None
+    layout = _Layout(len(header) - 1, feat_idx, label_idx, frozenset(normal_values),
+                     *_record(len(header), feat_idx, label_idx))
     return layout, feature_names
 
 
@@ -300,69 +300,61 @@ def _rule_rows(reader, layout):
 
 def _parse_lines(lines, text, layout):
     """One chunk of quote-free lines, text their concatenation. Returns
-    (features, is_anomaly, dropped) of the kept lines. Lines with the
-    header's comma count go through _loadtxt_lines, their labels through
-    _labels; the rest, and the lines _loadtxt_lines leaves, through
-    csv.reader and the per-row rule. Rows the rule drops stay NaN, so one
-    finite mask drops them with the NaN/inf rows numpy parsed."""
+    (features, is_anomaly, dropped) of the kept lines.
+
+    One np.loadtxt call with the record dtype parses the chunk when numpy
+    accepts every line. Otherwise (a line with another field count, a text
+    cell, a blank line numpy skipped) _parse_irregular reads it. Rows with
+    a NaN or an infinite value are dropped."""
+    if not text.isspace():  # numpy warns on a chunk of blank lines
+        try:
+            records = _loadtxt(lines, layout.record)
+        except ValueError:
+            records = None
+        if records is not None and records.shape[0] == len(lines):
+            values, anomalous = _fields(records, layout)
+            values, anomalous, kept = _kept(values, anomalous,
+                                            np.isfinite(values).all(axis=1))
+            return values, anomalous, len(lines) - kept
+    return _parse_irregular(lines, text, layout)
+
+
+def _parse_irregular(lines, text, layout):
+    """_parse_lines for a chunk numpy rejects or that holds a blank line.
+    Lines with the header's comma count and no _suspects letter go through
+    _loadtxt_rows; the rest, and the lines it rejects, through csv.reader
+    and the per-row rule. Rows the rule drops stay NaN, so one finite mask
+    drops them with the NaN/inf rows numpy parsed."""
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
     blank = np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
     values = np.full((n, len(layout.feat_idx)), np.nan)
     anomalous = np.zeros(n, dtype=np.int64)
-    parsed = _loadtxt_lines(lines, text, (commas == layout.n_commas) & ~blank,
-                            layout, values)
+    parsed = (commas == layout.n_commas) & ~blank & ~_suspects(lines, text, layout)
     rows = np.flatnonzero(parsed)
-    if layout.label_idx is not None and rows.size:
-        normal = map(layout.normal.__contains__, _labels(_pick(lines, rows), layout))
-        anomalous[rows] = ~np.fromiter(normal, bool, rows.size)
+    rejected = _loadtxt_rows(_pick(lines, rows), layout, values, anomalous, rows)
+    parsed[rows[rejected]] = False
     for i in np.flatnonzero(~blank & ~parsed).tolist():
         row = _row_values(next(csv.reader([lines[i]])), layout)
         if row is not None:
             values[i], anomalous[i] = row
     keep = ~blank & np.isfinite(values).all(axis=1)
-    kept = int(keep.sum())
-    if kept < n:
-        values, anomalous = values[keep], anomalous[keep]
+    values, anomalous, kept = _kept(values, anomalous, keep)
     return values, anomalous, int(n - blank.sum() - kept)
+
+
+def _kept(values, anomalous, keep):
+    """The rows of values and anomalous where the mask keep holds, and
+    their count."""
+    kept = int(np.count_nonzero(keep))
+    if kept < keep.size:
+        values, anomalous = values[keep], anomalous[keep]
+    return values, anomalous, kept
 
 
 def _pick(lines, rows):
     """lines[rows] for a sorted index array; lines itself when it is all."""
     return lines if rows.size == len(lines) else [lines[i] for i in rows.tolist()]
-
-
-def _labels(lines, layout):
-    """The stripped label of each line with the header's comma count, split
-    out from the end of the line."""
-    after = layout.n_commas - layout.label_idx  # fields right of the label
-    split = operator.methodcaller("rsplit", ",", after + 1)
-    return map(str.strip, map(operator.itemgetter(-after - 1), map(split, lines)))
-
-
-def _loadtxt_lines(lines, text, regular, layout, out):
-    """Parse the regular lines (a mask) with np.loadtxt into their rows of
-    out. Returns the mask of the lines parsed; the others are left to the
-    per-row rule.
-
-    One call parses the whole batch when numpy accepts it. When it does
-    not, the lines _suspects names are set aside and one more call parses
-    the rest; _loadtxt_rows finds what the scan misses (a "fan" cell,
-    "1_000", a non-ASCII letter), so the result never rests on the scan.
-    """
-    rows = np.flatnonzero(regular)
-    if not rows.size:
-        return regular
-    try:
-        out[rows] = _loadtxt(_pick(lines, rows), layout.feat_idx)
-        return regular
-    except ValueError:
-        pass
-    parsed = regular & ~_suspects(lines, text, layout)
-    rows = np.flatnonzero(parsed)
-    rejected = _loadtxt_rows(_pick(lines, rows), layout.feat_idx, out, rows)
-    parsed[rows[rejected]] = False
-    return parsed
 
 
 def _suspects(lines, text, layout):
@@ -395,28 +387,35 @@ def _find_all(text, char):
         at = text.find(char, at + 1)
 
 
-def _loadtxt_rows(lines, feat_idx, out, rows):
-    """Parse lines with np.loadtxt into out[rows]. Returns the positions in
-    lines that numpy rejected; their rows of out are left as they were.
+def _loadtxt_rows(lines, layout, values, anomalous, rows):
+    """Parse lines with np.loadtxt into values[rows] and anomalous[rows].
+    Returns the positions in lines that numpy rejected; their rows are
+    left as they were.
 
-    numpy's ValueError names the bad row ("... at row 1, column 2"), so
-    parsing resumes after it. Without a row number, or when the rows before
-    the named one do not parse either, every line from there on counts as
-    rejected, so the result never rests on numpy's wording.
+    One call parses them all when numpy accepts them. Its ValueError names
+    the bad row ("... at row 1, column 2"), so parsing resumes after it;
+    this finds what _suspects misses (a "fan" cell, "1_000", a non-ASCII
+    letter). Without a row number, or when the rows before the named one
+    do not parse either, every line from there on counts as rejected, so
+    the result never rests on numpy's wording.
     """
+    def put(start, stop):
+        values[rows[start:stop]], anomalous[rows[start:stop]] = _fields(
+            _loadtxt(lines[start:stop], layout.record), layout)
+
     rejected, start = [], 0
     for _ in range(len(lines)):  # a pass parses the rest or rejects a line
         if start == len(lines):
             break
         try:
-            out[rows[start:]] = _loadtxt(lines[start:], feat_idx)
+            put(start, len(lines))
             break
         except ValueError as exc:
             found = _NUMPY_ROW.search(str(exc))
             stop = start + int(found.group(1)) if found else len(lines)
             try:
                 if start < stop < len(lines):
-                    out[rows[start:stop]] = _loadtxt(lines[start:stop], feat_idx)
+                    put(start, stop)
             except ValueError:
                 stop = len(lines)
             if stop >= len(lines):
@@ -427,10 +426,70 @@ def _loadtxt_rows(lines, feat_idx, out, rows):
     return rejected
 
 
-def _loadtxt(lines, feat_idx):
+def _loadtxt(lines, record):
     # comments=None: the default "#" would cut a row short
-    return np.loadtxt(lines, delimiter=",", usecols=feat_idx, comments=None,
-                      ndmin=2, dtype=np.float64)
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=record)
+
+
+def _fields(records, layout):
+    """(features, is_anomaly) of an array of layout.record. The features are
+    a view of the record's float block when the selection is that block;
+    numpy refuses ndarray.view on a dtype holding objects, so as_strided
+    makes it."""
+    n = records.shape[0]
+    anomalous = np.zeros(n, dtype=np.int64)
+    if layout.label_idx is not None:
+        labels = records[_field(layout.label_idx)]
+        anomalous[~np.fromiter(map(layout.normal.__contains__, map(str.strip, labels)),
+                               bool, n)] = 1
+    d = len(layout.feat_idx)
+    if layout.block:
+        return as_strided(records[_field(layout.feat_idx[0])], shape=(n, d),
+                          strides=(records.itemsize, 8)), anomalous
+    values = np.empty((n, d))
+    for j, i in enumerate(layout.feat_idx):
+        # a selected label column: float() of its text, NaN where that fails
+        values[:, j] = (np.fromiter(map(_float_or_nan, labels), np.float64, n)
+                        if i == layout.label_idx else records[_field(i)])
+    return values, anomalous
+
+
+def _float_or_nan(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
+def _field(column):
+    return f"c{column}"
+
+
+def _record(n_columns, feat_idx, label_idx):
+    """The np.loadtxt dtype of a row: one field per column, so numpy rejects
+    a line with another field count. The selected columns other than the
+    label are float64 and make one block at the front, each column once,
+    in feat_idx order; the label is a str object; every other column is a
+    U1 field whose content is ignored, as the per-row rule ignores it.
+    Returns (the dtype, whether the block is the selection)."""
+    floats = list(dict.fromkeys(i for i in feat_idx if i != label_idx))
+    offsets, formats = {i: 8 * k for k, i in enumerate(floats)}, {}
+    end = 8 * len(floats)
+    if label_idx is not None:
+        offsets[label_idx], formats[label_idx] = end, object
+        end += 8
+    for i in range(n_columns):
+        if i not in offsets:
+            offsets[i], formats[i] = end, "U1"
+            end += 4
+    columns = range(n_columns)
+    record = np.dtype({
+        "names": [_field(i) for i in columns],
+        "formats": [formats.get(i, np.float64) for i in columns],
+        "offsets": [offsets[i] for i in columns],
+        "itemsize": -(-end // 8) * 8,  # object pointers stay aligned
+    })
+    return record, bool(feat_idx) and floats == feat_idx
 
 
 def save_csv(data: FeatureMatrix, path, label_column="label"):
@@ -470,7 +529,8 @@ def read_json(path, what):
     JSON or a non-object is a ParameterError. what names the input in
     messages."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte order mark is not part of the document
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"{what}: cannot read {path}: {exc.strerror}") from None

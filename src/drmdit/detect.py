@@ -221,11 +221,7 @@ def select_band(scores, labels) -> ScoreBand:
         raise ParameterError("band selection needs both classes present")
     values, group, counts = np.unique(s, return_inverse=True, return_counts=True)
     pos = np.bincount(group, weights=y, minlength=values.size).astype(np.int64)
-    spread = values[-1] - values[0]
-    margin = 0.5 * spread if spread > 0 else 1.0
-    mids = 0.5 * (values[:-1] + values[1:])
-    lows = np.concatenate([[values[0] - margin], mids])
-    highs = np.concatenate([mids, [values[-1] + margin]])
+    del group  # 8 bytes a row, not needed by the scan
     # anomalies and rows flagged by low cut i (groups < i) and high cut j (> j)
     tp_low = np.cumsum(pos) - pos
     n_low = np.cumsum(counts) - counts
@@ -248,8 +244,16 @@ def select_band(scores, labels) -> ScoreBand:
     flagged = n_low[i] + n_high[j]
     fewest = flagged == flagged.min()
     i, j = i[fewest], j[fewest]
-    k = np.lexsort((j, i, lows[i] - highs[j]))[0]  # widest, then lowest (i, j)
-    return ScoreBand(low=float(lows[i[k]]), high=float(highs[j[k]]))
+    # cut i lies below group i, cut j above group j: a midpoint, or half the
+    # spread beyond an extreme
+    spread = values[-1] - values[0]
+    margin = 0.5 * spread if spread > 0 else 1.0
+    last = values.size - 1
+    lows = np.where(i > 0, 0.5 * (values[i - 1] + values[i]), values[0] - margin)
+    highs = np.where(j < last, 0.5 * (values[j] + values[np.minimum(j + 1, last)]),
+                     values[-1] + margin)
+    k = np.lexsort((j, i, lows - highs))[0]  # widest, then lowest (i, j)
+    return ScoreBand(low=float(lows[k]), high=float(highs[k]))
 
 
 def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:

@@ -450,3 +450,25 @@ def test_a_byte_order_mark_is_not_part_of_the_first_column(runner, synth_csv, tm
         assert result.exit_code == 0, result.output
     assert ((tmp_path / "bom-scored.trace.csv").read_bytes()
             == (tmp_path / "synth-scored.trace.csv").read_bytes())
+
+
+def test_json_inputs_with_a_byte_order_mark(runner, trained_checkpoint, synth_csv, tmp_path):
+    # was: exit 2, "is not valid JSON: Unexpected UTF-8 BOM"
+    def with_bom(path):
+        marked = tmp_path / f"bom-{os.path.basename(path)}"
+        marked.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        return str(marked)
+
+    cfg = tmp_path / "cfg.json"  # written by the trained_checkpoint fixture
+    result = runner.invoke(main, [
+        "train", "--data", str(synth_csv), "--config", with_bom(cfg),
+        "--features", with_bom(_features_json(tmp_path)), "--out", str(tmp_path / "bom.json")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "bom.json").read_bytes() == trained_checkpoint.read_bytes()
+    for model, out in ((trained_checkpoint, "plain"), (with_bom(trained_checkpoint), "bom")):
+        result = runner.invoke(main, [
+            "score", "--model", str(model), "--data", str(synth_csv),
+            "--out", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+    assert ((tmp_path / "bom.trace.csv").read_bytes()
+            == (tmp_path / "plain.trace.csv").read_bytes())

@@ -1,6 +1,7 @@
 import csv
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -137,6 +138,9 @@ _CELLS = st.one_of(
 )
 _LABELS = st.sampled_from(["0", "1", "Benign", "Attack", " benign ", "normal ",
                            "x y", "", "BENIGN", "DoS"])
+# a text column outside the selection: load_csv never selects "tag"
+_TAGS = st.sampled_from(["tcp", "udp", "", "é", "über", "日本語", "ß\u00a0x", "nan"])
+_WHITESPACE = st.sampled_from(["  ", "\t", " \t ", "\x0b", "\x0c", "\u00a0", "\u3000"])
 _ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -145,17 +149,20 @@ def _csv_case(draw):
     names = [f"c{j}" for j in range(draw(st.integers(1, 4)))]
     label_column = draw(st.sampled_from([None, "label"]))
     header = list(names)
-    if label_column:
-        header.insert(draw(st.integers(0, len(header))), label_column)
+    for extra in (label_column, draw(st.sampled_from([None, "tag"]))):
+        if extra:
+            header.insert(draw(st.integers(0, len(header))), extra)
     columns = None
     if draw(st.booleans()):
-        columns = draw(st.lists(st.sampled_from(names), min_size=1,
-                                max_size=len(names), unique=True))
+        # any order, a column more than once, the label column too
+        pool = names + [label_column] if label_column else names
+        columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool) + 1))
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 25))):
         kind = draw(st.sampled_from(["clean"] * 6 + ["short", "long", "blank",
                                                       "space", "quoted"]))
-        cells = [draw(_LABELS) if h == label_column else draw(_CELLS) for h in header]
+        cells = [draw(_LABELS) if h == label_column else draw(_TAGS) if h == "tag"
+                 else draw(_CELLS) for h in header]
         if kind == "short":
             cells = cells[:draw(st.integers(0, len(cells) - 1))]
         elif kind == "long":
@@ -163,7 +170,7 @@ def _csv_case(draw):
         elif kind == "blank":
             cells = []
         elif kind == "space":
-            cells = ["  "]
+            cells = [draw(_WHITESPACE)]
         elif kind == "quoted":
             at = draw(st.integers(0, len(cells) - 1))
             cells[at] = draw(st.sampled_from(['"1.5"', '"x\ny"', '"3\r\n"', '"a,b"']))
@@ -257,6 +264,76 @@ def test_load_csv_parses_text_cell_chunks_in_two_numpy_calls(tmp_path):
     assert calls["chunks"] == 3
     assert calls["loadtxt"] <= 2 * calls["chunks"]
     assert calls["row"] == 60
+
+
+def _counted_load_csv(path, chunk_bytes, **kwargs):
+    """load_csv's outcome and how often it called the parse steps."""
+    calls = {"loadtxt": 0, "suspects": 0, "row": 0, "chunks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(data, "_loadtxt", counted("loadtxt", data._loadtxt)), \
+            mock.patch.object(data, "_suspects", counted("suspects", data._suspects)), \
+            mock.patch.object(data, "_row_values", counted("row", data._row_values)), \
+            mock.patch.object(data, "_parse_lines", counted("chunks", data._parse_lines)):
+        return _outcome(data.load_csv, path, **kwargs), calls
+
+
+def test_load_csv_parses_a_clean_chunk_in_one_numpy_call(tmp_path):
+    # a text column outside the selection, non-ASCII included, and a
+    # selection in another order than the header's
+    rng = np.random.default_rng(11)
+    lines = _flow_lines(rng, 600, 5)
+    protos = ["tcp", "udp", "ünï"]
+    lines = [f"{protos[i % 3]},{line}" for i, line in enumerate(lines)]
+    path = tmp_path / "flows.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("proto,f0,f1,f2,f3,f4,label\n")
+        fh.writelines(lines)
+    columns = ["f2", "f0", "f4", "f1", "f3"]
+    chunk_bytes = sum(map(len, lines[:200])) - 1  # readlines stops past the hint
+    got, calls = _counted_load_csv(path, chunk_bytes, label_column="label",
+                                   columns=columns)
+    expected = _outcome(_reference_load_csv, path, label_column="label", columns=columns)
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:] and got[3] == 0
+    assert calls == {"loadtxt": 3, "suspects": 0, "row": 0, "chunks": 3}
+    # each chunk's features are a view of its records, not a copy
+    with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
+            data.CsvChunks(path, "label", columns) as source:
+        assert [features.flags.owndata for features, _, _ in source] == [False] * 3
+
+
+def test_load_csv_short_rows_and_text_cells_take_two_numpy_calls(tmp_path):
+    lines = _flow_lines(np.random.default_rng(12), 600, 5, text_every=10)
+    for i in range(7, 600, 25):  # short rows, apart from the text cells
+        lines[i] = ",".join(lines[i].split(",")[:3]) + "\n"
+    path = tmp_path / "flows.csv"
+    _write_flows(path, 5, lines)
+    chunk_bytes = sum(map(len, lines[:200])) - 1
+    got, calls = _counted_load_csv(path, chunk_bytes, label_column="label")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:] and got[3] == 60 + 24
+    assert calls["chunks"] == 3 and calls["loadtxt"] == 2 * 3
+    assert calls["suspects"] == 3 and calls["row"] == 60 + 24
+
+
+def test_load_csv_chunk_of_blank_lines_does_not_make_numpy_warn(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("a,label\n1,0\n" + "\n" * 40 + "\r\n" * 40 + "2,1\n" + " \n" * 20,
+                    newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with mock.patch.object(data, "_CHUNK_BYTES", 8):
+            got = _outcome(data.load_csv, path, label_column="label")
+    assert got[1:] == _outcome(_reference_load_csv, path, label_column="label")[1:]
+    assert got[0].tolist() == [[1.0], [2.0]] and got[3] == 20
 
 
 @pytest.mark.parametrize("text_every", [0, 50])

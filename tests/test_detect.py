@@ -321,16 +321,20 @@ def test_evaluate_and_emit_report(small_model, tmp_path):
 
     prefix = tmp_path / "run"
     rp, tp = detect.emit_report(report, prefix)
-    doc = json.loads(open(rp).read())
+    with open(rp) as fh:
+        doc = json.loads(fh.read())
     assert doc["n_samples"] == 50
-    lines = open(tp).read().strip().split("\n")
+    with open(tp) as fh:
+        lines = fh.read().strip().split("\n")
     assert lines[0] == "index,score,transformed_score,label,prediction,tag"
     assert len(lines) == 51
 
     # re-emit is byte-identical
-    first = (open(rp, "rb").read(), open(tp, "rb").read())
+    with open(rp, "rb") as rfh, open(tp, "rb") as tfh:
+        first = (rfh.read(), tfh.read())
     detect.emit_report(report, prefix)
-    assert (open(rp, "rb").read(), open(tp, "rb").read()) == first
+    with open(rp, "rb") as rfh, open(tp, "rb") as tfh:
+        assert (rfh.read(), tfh.read()) == first
 
 
 def test_emit_report_unlabeled_omits_label_column(tmp_path):
@@ -343,7 +347,8 @@ def test_emit_report_unlabeled_omits_label_column(tmp_path):
         scoring_mode="robust_md",
     )
     _, tp = detect.emit_report(report, tmp_path / "u")
-    lines = open(tp).read().strip().split("\n")
+    with open(tp) as fh:
+        lines = fh.read().strip().split("\n")
     assert lines[0] == "index,score,transformed_score,prediction,tag"
     assert len(lines) == 4
 
