@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, ParameterError
-from .robust import MAD_FLOOR
+from .robust import median_mad
 
 SKEW_CUTOFF_MADS = 6.0  # about 4 sigma for Gaussian columns
 MAX_SKEW_DROP_FRACTION = 0.10
@@ -615,11 +615,12 @@ def minmax_rows(x, record, out=None):
     lo = np.array([r[0] for r in record])
     hi = np.array([r[1] for r in record])
     span = hi - lo
-    nonconst = span > 0
+    const = ~(span > 0)
+    span[const] = 1.0  # a plain divide: a where= mask costs twice as much
     # the difference, divided in place, constants zeroed
     out = np.subtract(x, lo, out=out)
-    np.divide(out, span, out=out, where=nonconst)
-    out[:, ~nonconst] = 0.0
+    out /= span
+    out[:, const] = 0.0
     return out
 
 
@@ -633,8 +634,7 @@ def skew_filter(train: FeatureMatrix):
     x = train.features
     if x.shape[0] < 10:
         raise ParameterError(f"skew_filter needs >= 10 rows, got {x.shape[0]}")
-    med = np.median(x, axis=0)
-    mads = np.maximum(np.median(np.abs(x - med), axis=0), MAD_FLOOR)
+    med, mads = median_mad(x)
     exceed = np.max(np.abs(x - med) / mads, axis=1)  # worst feature per row
     keep = exceed <= SKEW_CUTOFF_MADS
     widened = False

@@ -1,8 +1,9 @@
 """Nonparametric entropy and mutual-information estimators.
 
 Two families:
-  * sample-based: quadratic entropy as the negative log of the mean pairwise
-    Gaussian kernel (the information potential), natural log;
+  * sample-based: the Cauchy-Schwarz divergence between two sample sets,
+    from logs of mean pairwise Gaussian kernels (information potentials),
+    natural log;
   * matrix-based: -log2 tr(X^2) of a trace-normalized Gram matrix, log2,
     and the mutual information between an input Gram and a latent batch,
     with its gradient with respect to the latent rows.
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegeneracyError, ParameterError
-from .ndmath import NormalizedGram, _check_sigma, gaussian_gram, pairwise_sq_dists
+from .errors import DegeneracyError, ParameterError
+from .ndmath import (NormalizedGram, _check_sigma, _kernel_input, gaussian_gram,
+                     pairwise_sq_dists)
 
 ENTROPY_FLOOR = 1e-3  # bits; keeps the MI ratio finite for collapsed batches
 LN2 = math.log(2.0)
@@ -24,15 +26,6 @@ LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class EntropyValue:
     value: float
-
-
-def _check_samples(m, name):
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise ParameterError(f"{name} must be a non-empty N x d matrix, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise DataError(f"non-finite values in {name}")
-    return a
 
 
 def _log_mean_kernel(x, z, sigma):
@@ -44,8 +37,8 @@ def _log_mean_kernel(x, z, sigma):
     When z is x the self-distances are exactly 0.
     """
     same = z is x
-    x = _check_samples(x, "x")
-    z = x if same else _check_samples(z, "z")
+    x = _kernel_input(x, "x")
+    z = x if same else _kernel_input(z, "z")
     if x.shape[1] != z.shape[1]:
         raise ParameterError(
             f"dimension mismatch: x has {x.shape[1]} columns, z has {z.shape[1]}"
@@ -58,17 +51,6 @@ def _log_mean_kernel(x, z, sigma):
     top = float(e.max())
     e -= top
     return top + math.log(float(np.exp(e, out=e).sum())) - math.log(e.size)
-
-
-def renyi2_sample(samples, sigma) -> EntropyValue:
-    """Quadratic entropy: -log of the information potential (natural log).
-
-    The density constant (4*pi*sigma^2)^(-d/2) enters in log space.
-    """
-    x = _check_samples(samples, "samples")
-    log_ip = _log_mean_kernel(x, x, sigma)
-    return EntropyValue(
-        value=0.5 * x.shape[1] * math.log(4.0 * math.pi * sigma * sigma) - log_ip)
 
 
 def _renyi2_bits(frobenius_sum, what):
@@ -125,7 +107,7 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", out=None):
     # off-diagonal squares (the diagonal of zhat is constant), each applied
     # to [z, 1] in one pass: the last column holds the row sums
     z1 = np.hstack([z, np.ones((n, 1))])
-    kk = gaussian_gram(z, sigma, out=out).raw
+    kk = gaussian_gram(z, sigma, out=out)
     np.square(kk, out=kk)
     np.fill_diagonal(kk, 0.0)
     k2z = kk @ z1

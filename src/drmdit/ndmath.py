@@ -16,14 +16,6 @@ RIDGE_EPSILON = 1e-6
 
 
 @dataclass(frozen=True)
-class GramMatrix:
-    """Pairwise Gaussian kernel evaluations over one sample set."""
-
-    raw: np.ndarray  # N x N, symmetric to rounding, unit diagonal
-    sigma: float
-
-
-@dataclass(frozen=True)
 class NormalizedGram:
     """Trace-normalized Gram matrix: unit trace, diagonal exactly 1/N."""
 
@@ -34,6 +26,17 @@ def _as_matrix(x, name="input"):
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ParameterError(f"{name} must be 2-d, got shape {a.shape}")
+    return a
+
+
+def _kernel_input(samples, name):
+    """samples as an N x d float64 matrix; ParameterError unless it is 2-d
+    with N >= 1 and d >= 1, DataError if it holds a non-finite value."""
+    a = _as_matrix(samples, name)
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ParameterError(f"{name} must be N>=1 x d>=1, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise DataError(f"non-finite values in {name}")
     return a
 
 
@@ -80,29 +83,25 @@ def pairwise_sq_dists(a, b, out=None):
     return np.maximum(sq, 0.0, out=sq)
 
 
-def gaussian_gram(samples, sigma, out=None) -> GramMatrix:
-    """Gram matrix of the isotropic Gaussian kernel over sample rows.
+def gaussian_gram(samples, sigma, out=None):
+    """N x N Gram matrix of the isotropic Gaussian kernel over sample rows.
 
-    raw[i, j] = exp(-||x_i - x_j||^2 / (2*sigma^2)), with diagonal exactly 1.
+    g[i, j] = exp(-||x_i - x_j||^2 / (2*sigma^2)), with diagonal exactly 1.
     The density constant (2*pi*sigma^2)^(-d/2) is left out: every consumer
-    normalizes it away, and at large d it overflows. raw is built in out
+    normalizes it away, and at large d it overflows. g is built in out
     when given (N x N, as for pairwise_sq_dists).
     """
     sigma = _check_sigma(sigma)
-    x = _as_matrix(samples, "samples")
-    if x.shape[0] < 1 or x.shape[1] < 1:
-        raise ParameterError(f"samples must be N>=1 x d>=1, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite values in kernel input")
-    raw = pairwise_sq_dists(x, x, out=out)
-    np.fill_diagonal(raw, 0.0)
-    raw *= -0.5 / (sigma * sigma)
-    return GramMatrix(raw=np.exp(raw, out=raw), sigma=sigma)
+    x = _kernel_input(samples, "samples")
+    g = pairwise_sq_dists(x, x, out=out)
+    np.fill_diagonal(g, 0.0)
+    g *= -0.5 / (sigma * sigma)
+    return np.exp(g, out=g)
 
 
-def normalize_gram(g: GramMatrix) -> NormalizedGram:
-    """Trace-normalize: the diagonal is 1, so mat = raw / N."""
-    return NormalizedGram(mat=g.raw / g.raw.shape[0])
+def normalize_gram(g) -> NormalizedGram:
+    """Trace-normalize a gaussian_gram: the diagonal is 1, so mat = g / N."""
+    return NormalizedGram(mat=g / g.shape[0])
 
 
 def ridge_inverse(r, epsilon=RIDGE_EPSILON):

@@ -38,13 +38,19 @@ class ClassicalStats:
     cov_inv: np.ndarray
 
 
-def mad(values, floor=MAD_FLOOR):
-    """Median absolute deviation from the median, clamped below at floor."""
+def median_mad(x):
+    """Per-column medians of x and median absolute deviations from them,
+    each MAD clamped below at MAD_FLOOR. Returns (medians, mads)."""
+    medians = np.median(x, axis=0)
+    return medians, np.maximum(np.median(np.abs(x - medians), axis=0), MAD_FLOOR)
+
+
+def mad(values):
+    """Median absolute deviation from the median, clamped below at MAD_FLOOR."""
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise ParameterError("mad of empty input")
-    raw = float(np.median(np.abs(v - np.median(v))))
-    return max(raw, floor)
+    return float(median_mad(v)[1])
 
 
 def robust_correlation(latents, ridge_epsilon=RIDGE_EPSILON) -> RobustLatentStats:
@@ -60,8 +66,7 @@ def robust_correlation(latents, ridge_epsilon=RIDGE_EPSILON) -> RobustLatentStat
     n, k = z.shape
     if n < 2:
         raise ParameterError(f"need at least 2 rows for robust stats, got {n}")
-    medians = np.median(z, axis=0)
-    mads = np.maximum(np.median(np.abs(z - medians), axis=0), MAD_FLOOR)
+    medians, mads = median_mad(z)
     centered = z - medians
     corr = (centered.T @ centered) / n / np.outer(mads, mads)
     corr = 0.5 * (corr + corr.T)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import autoenc, data, ndmath, robust
+from . import autoenc, data, detect, ndmath, robust
 from .autoenc import Gradients, NetworkParams
 from .errors import DegeneracyError, ParameterError, TrainingError
 from .itl import matrix_mi_with_latent_grad
@@ -116,9 +116,6 @@ class TrainedModel:
     normalization: list | None = None
     feature_names: list | None = None
 
-    def encode(self, features):
-        return autoenc.encode(self.params, features)
-
     def reconstruct(self, features):
         return autoenc.forward(self.params, features).reconstruction
 
@@ -170,7 +167,7 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
     if w.gamma != 0.0:
         if input_gram_norm is None:
             # unit diagonal: dividing by N is the trace normalization
-            input_gram_norm = ndmath.gaussian_gram(x, config.sigma, out=gram_buf).raw
+            input_gram_norm = ndmath.gaussian_gram(x, config.sigma, out=gram_buf)
             input_gram_norm /= x.shape[0]
         mi_term, mi_grad_z, _ = matrix_mi_with_latent_grad(
             input_gram_norm, z, config.sigma, mode=config.mi_mode, out=latent_buf
@@ -309,8 +306,6 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
     Ties break toward smaller sigma, then larger alpha. Returns
     (best_config, table).
     """
-    from . import detect  # local import: detect depends on this module
-
     sigma_grid = list(sigma_grid)
     weight_grid = list(weight_grid)
     if not sigma_grid or not weight_grid:
@@ -325,8 +320,6 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
     scored = 0
     for sigma in sigma_grid:
         for weights in weight_grid:
-            if not isinstance(weights, LossWeights):
-                weights = LossWeights(*weights)
             cfg = replace(base, sigma=float(sigma), epochs=epochs, weights=weights)
             model = fit(train_data, cfg)
             try:
@@ -461,13 +454,18 @@ def model_from_dict(doc: dict) -> TrainedModel:
                                           "checkpoint train_config")
         history = [LossBreakdown(**h) for h in doc["loss_history"]]
         norm = doc.get("normalization")
+        names = doc.get("feature_names")
+        if names is not None and not (type(names) is list
+                                      and all(type(n) is str for n in names)):
+            raise ValueError(f"feature_names must be null or a list of strings, "
+                             f"got {names!r:.60}")
         model = TrainedModel(
             params=params, robust_stats=stats, classical_stats=cstats,
             config=config, loss_history=history,
             train_score_medians={mode: _number(v) for mode, v
                                  in dict(doc["train_score_medians"]).items()},
             normalization=None if norm is None else [tuple(map(_number, r)) for r in norm],
-            feature_names=doc.get("feature_names"),
+            feature_names=names,
         )
         _check_arrays(model)
         return model

@@ -400,6 +400,20 @@ def test_infinite_normalization_max_exits_2(runner, trained_checkpoint, synth_cs
     assert "malformed checkpoint" in result.output
 
 
+def test_feature_names_object_checkpoint_exits_2(runner, trained_checkpoint, synth_csv,
+                                                 tmp_path):
+    # was: exit 0, scoring the columns the object's keys name
+    def edit(doc):
+        doc["feature_names"] = {name: i for i, name in enumerate(doc["feature_names"])}
+
+    model = _edited_checkpoint(trained_checkpoint, tmp_path, edit)
+    result = runner.invoke(main, ["score", "--model", model, "--data", str(synth_csv),
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert "malformed checkpoint" in result.output
+    assert not (tmp_path / "o.trace.csv").exists()
+
+
 def test_rows_scoring_non_finite_exit_4(runner, trained_checkpoint, tmp_path):
     # a 1e-300 training span sends 1e10 past the float range; the encoder
     # then meets inf - inf: was exit 0 with a nan trace

@@ -12,28 +12,6 @@ def _norm_gram(x, sigma):
     return ndmath.normalize_gram(ndmath.gaussian_gram(x, sigma))
 
 
-def test_renyi2_sample_single_point():
-    h = itl.renyi2_sample([[0.0]], sigma=1.0)
-    assert h.value == pytest.approx(1.26551, abs=1e-5)
-
-
-def test_renyi2_sample_duplication_invariance():
-    h1 = itl.renyi2_sample([[0.0]], sigma=1.0)
-    h5 = itl.renyi2_sample([[0.0]] * 5, sigma=1.0)
-    assert h5.value == pytest.approx(h1.value, abs=1e-12)
-
-
-def test_renyi2_sample_spreading_increases_entropy():
-    vals = [itl.renyi2_sample([[0.0], [sep]], sigma=1.0).value
-            for sep in (0.5, 1.0, 2.0, 4.0)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_renyi2_sample_rejects_bad_sigma():
-    with pytest.raises(ParameterError):
-        itl.renyi2_sample([[0.0]], sigma=-1.0)
-
-
 def test_renyi2_matrix_single_sample():
     assert itl.renyi2_matrix(NormalizedGram(mat=np.array([[1.0]]))).value == 0.0
 
@@ -103,9 +81,15 @@ def test_cs_divergence_dim_mismatch():
         itl.cs_divergence_sample(np.zeros((3, 2)), np.zeros((3, 3)), 0.5)
 
 
+def test_cs_divergence_rejects_a_zero_width_set():
+    # was: 0.0, the mean kernel over no coordinates being 1
+    with pytest.raises(ParameterError):
+        itl.cs_divergence_sample(np.zeros((3, 0)), np.zeros((2, 0)), 0.5)
+
+
 def test_sample_estimators_reject_non_finite_samples():
     with pytest.raises(DataError):
-        itl.renyi2_sample([[np.nan], [1.0]], 1.0)
+        itl.cs_divergence_sample([[np.nan], [1.0]], [[1.0]], 1.0)
     with pytest.raises(DataError):
         itl.cs_divergence_sample([[np.inf]], [[1.0]], 1.0)
     with pytest.raises(DataError):
@@ -115,9 +99,10 @@ def test_sample_estimators_reject_non_finite_samples():
 def test_estimators_permutation_invariant():
     rng = np.random.default_rng(23)
     x = rng.normal(size=(11, 3))
+    z = rng.normal(size=(11, 3)) + 0.5
     perm = rng.permutation(11)
-    assert itl.renyi2_sample(x, 0.5).value == pytest.approx(
-        itl.renyi2_sample(x[perm], 0.5).value, abs=1e-12)
+    assert itl.cs_divergence_sample(x, z, 0.5) == pytest.approx(
+        itl.cs_divergence_sample(x[perm], z[perm[::-1]], 0.5), abs=1e-12)
     g1 = _norm_gram(x, 0.5)
     g2 = _norm_gram(x[perm], 0.5)
     assert itl.renyi2_matrix(g1).value == pytest.approx(
@@ -134,8 +119,8 @@ def test_mi_with_latent_grad_matches_eigen_oracle():
     n, sigma = 12, 0.6
     x = rng.normal(size=(n, 4))
     z = rng.normal(size=(n, 2)) * 0.5
-    xhat = ndmath.gaussian_gram(x, sigma).raw / n
-    zhat = ndmath.gaussian_gram(z, sigma).raw / n
+    xhat = ndmath.gaussian_gram(x, sigma) / n
+    zhat = ndmath.gaussian_gram(z, sigma) / n
     joint = xhat * zhat / np.trace(xhat * zhat)
     hx, hz, hxz = (_eigen_entropy(m) for m in (xhat, zhat, joint))
     floor = itl.ENTROPY_FLOOR
@@ -160,7 +145,7 @@ def test_mi_with_latent_grad_floors_collapsed_latents():
     rng = np.random.default_rng(25)
     n, sigma = 9, 0.4
     x = rng.normal(size=(n, 3))
-    xhat = ndmath.gaussian_gram(x, sigma).raw / n
+    xhat = ndmath.gaussian_gram(x, sigma) / n
     # identical latent rows: zhat is 1/N everywhere, so Hz = 0 is floored
     # and the joint Gram is xhat itself
     z = np.tile([[0.3, -0.2]], (n, 1))
@@ -190,8 +175,6 @@ def test_sample_estimators_finite_on_wide_input():
     rng = np.random.default_rng(26)
     x = rng.uniform(size=(8, 600))
     d_cs = itl.cs_divergence_sample(x, x + 0.05, 0.1)
-    h = itl.renyi2_sample(x, 0.1).value
-    assert math.isfinite(d_cs) and math.isfinite(h)
+    assert math.isfinite(d_cs)
     # only the matched pairs, 600 * 0.05^2 apart, survive in the cross term
     assert d_cs == pytest.approx(600 * 0.05 ** 2 / (4 * 0.1 ** 2), abs=1e-6)
-    assert h == pytest.approx(300 * math.log(4 * math.pi * 0.01) + math.log(8), abs=1e-9)

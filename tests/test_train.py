@@ -361,7 +361,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.feature_names == data.feature_names
     # scores through the reloaded model match exactly
     x = rng.normal(size=(5, 4))
-    assert np.array_equal(model.encode(x), loaded.encode(x))
+    assert np.array_equal(autoenc.encode(model.params, x),
+                          autoenc.encode(loaded.params, x))
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):
@@ -460,11 +461,23 @@ def test_checkpoint_infinity_token_in_json_is_malformed(tmp_path):
     (("normalization", 0, 1), None),
     (("train_score_medians", "robust_md"), "x"),
     (("train_score_medians",), [1, 2]),
+    # feature_names of length d that are not a list of strings: the first
+    # three were blamed on the CSV, the object scored the columns its keys name
+    (("feature_names",), "abcd"),
+    (("feature_names",), [0, 1, 2, 3]),
+    (("feature_names",), [None] * 4),
+    (("feature_names",), {"a": 0, "b": 1, "c": 2, "d": 3}),
+    (("feature_names",), ["a", "b", "c", 3]),
 ])
 def test_checkpoint_wrong_value_type_is_malformed(path, value):
     doc = _edited_checkpoint(path, value)
     with pytest.raises(ParameterError, match="malformed checkpoint"):
         train.model_from_dict(doc)
+
+
+def test_checkpoint_feature_names_may_be_null():
+    doc = _edited_checkpoint(("feature_names",), None)
+    assert train.model_from_dict(doc).feature_names is None
 
 
 @pytest.mark.parametrize("path, value", [
