@@ -50,16 +50,13 @@ def _check_sigma(sigma):
     return float(sigma)
 
 
-def pairwise_sq_dists(a, b, out=None):
-    """Squared Euclidean distances between rows of a and rows of b.
+def lifted_rows(a, b):
+    """The lifted rows whose product gives pairwise squared distances.
 
     Both sets are centered on a's column mean, which limits cancellation.
-    Then ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j comes out of one matrix product
-    of the lifted rows [a_i, ||a_i||^2, 1] and [-2 b_j, 1, ||b_j||^2], and
-    is clamped at 0. Memory is O((N + M) d + N M). A self-distance
-    matrix is symmetric and zero on the diagonal only to rounding; callers
-    that need exact zeros set them. The N x M result is written into out
-    when given (a C-contiguous float64 array), and returned.
+    lhs holds [a_i, ||a_i||^2, 1] and rhs [-2 b_j, 1, ||b_j||^2], so that
+    lhs @ rhs.T is ||a_i||^2 + ||b_j||^2 - 2 a_i.b_j; any row block of lhs
+    gives the matching rows of the distance matrix. Memory is O((N + M) d).
     """
     same = b is a
     a = _as_matrix(a, "a")
@@ -79,24 +76,47 @@ def pairwise_sq_dists(a, b, out=None):
         rhs[:, d + 1] = np.einsum("ij,ij->i", bc, bc)
         bc *= -2.0
     rhs[:, d] = 1.0
-    sq = np.matmul(lhs, rhs.T, out=out)
+    return lhs, rhs
+
+
+def pairwise_sq_dists(a, b):
+    """Squared Euclidean distances between rows of a and rows of b.
+
+    One matrix product of lifted_rows(a, b), clamped at 0. Memory is
+    O((N + M) d + N M). A self-distance matrix is symmetric and zero on the
+    diagonal only to rounding; callers that need exact zeros set them.
+    """
+    lhs, rhs = lifted_rows(a, b)
+    sq = lhs @ rhs.T
     return np.maximum(sq, 0.0, out=sq)
 
 
-def gaussian_gram(samples, sigma, out=None):
+def gaussian_rows(lhs, rhs, start, sigma, out=None):
+    """Rows start:start + len(lhs) of a Gaussian Gram over one sample set.
+
+    lhs is that row block of lifted_rows(x, x)[0] and rhs all of
+    lifted_rows(x, x)[1]. The entries g[i, start + i] are the diagonal and
+    come out exactly 1. sigma is not checked here. The B x N block is built
+    in out when given (a C-contiguous float64 array).
+    """
+    g = np.matmul(lhs, rhs.T, out=out)
+    np.maximum(g, 0.0, out=g)
+    g.flat[start::g.shape[1] + 1] = 0.0
+    g *= -0.5 / (sigma * sigma)
+    return np.exp(g, out=g)
+
+
+def gaussian_gram(samples, sigma):
     """N x N Gram matrix of the isotropic Gaussian kernel over sample rows.
 
     g[i, j] = exp(-||x_i - x_j||^2 / (2*sigma^2)), with diagonal exactly 1.
     The density constant (2*pi*sigma^2)^(-d/2) is left out: every consumer
-    normalizes it away, and at large d it overflows. g is built in out
-    when given (N x N, as for pairwise_sq_dists).
+    normalizes it away, and at large d it overflows.
     """
     sigma = _check_sigma(sigma)
     x = _kernel_input(samples, "samples")
-    g = pairwise_sq_dists(x, x, out=out)
-    np.fill_diagonal(g, 0.0)
-    g *= -0.5 / (sigma * sigma)
-    return np.exp(g, out=g)
+    lhs, rhs = lifted_rows(x, x)
+    return gaussian_rows(lhs, rhs, 0, sigma)
 
 
 def normalize_gram(g) -> NormalizedGram:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from . import autoenc, data, detect, ndmath, robust
+from . import autoenc, data, detect, itl, ndmath, robust
 from .autoenc import Gradients, NetworkParams
 from .errors import DegeneracyError, ParameterError, TrainingError
 from .itl import matrix_mi_with_latent_grad
@@ -137,9 +137,9 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
     stats / input_gram_norm default to quantities computed from this batch;
     passing them in pins the loss to a frozen snapshot (used by the
     finite-difference checks and by epoch-0 evaluation). work, when given,
-    is a pair of N x N float64 buffers for the input Gram and the latent
-    kernel; the result is the same as without it. config is not validated
-    here: fit does that once.
+    is the pair of MI row-block buffers of itl.mi_workspace; the result is
+    the same as without it. config is not validated here: fit does that
+    once.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[0] < 2:
@@ -163,14 +163,9 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
     resid /= resid.size
     resid *= w.beta
 
-    gram_buf, latent_buf = work or (None, None)
     if w.gamma != 0.0:
-        if input_gram_norm is None:
-            # unit diagonal: dividing by N is the trace normalization
-            input_gram_norm = ndmath.gaussian_gram(x, config.sigma, out=gram_buf)
-            input_gram_norm /= x.shape[0]
         mi_term, mi_grad_z, _ = matrix_mi_with_latent_grad(
-            input_gram_norm, z, config.sigma, mode=config.mi_mode, out=latent_buf
+            input_gram_norm, z, config.sigma, mode=config.mi_mode, x=x, work=work
         )
     else:
         mi_term, mi_grad_z = 0.0, np.zeros_like(z)
@@ -261,11 +256,11 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
         # robust stats of a few rows are rank-deficient and blow up the loss
         del ends[-2]  # so a short tail joins the previous batch
     starts = [0] + ends[:-1]
-    # The step's two N x N kernels (input Gram, latent kernel) are built in
-    # these for the whole run: fresh arrays of that size go back to the OS
-    # when freed, and every step would page-fault them in again.
-    side = max(end - start for start, end in zip(starts, ends))
-    flats = (np.empty(side * side), np.empty(side * side))
+    # The MI kernels' row blocks are built in these for the whole run: fresh
+    # buffers go back to the OS when freed, and every step would page-fault
+    # them in again. Without steps there is nothing to build.
+    work = (itl.mi_workspace({end - start for start, end in zip(starts, ends)})
+            if config.epochs else None)
     history = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -273,8 +268,6 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
         n_batches = 0
         for start, end in zip(starts, ends):
             batch = features[order[start:end]]
-            m = end - start
-            work = tuple(f[:m * m].reshape(m, m) for f in flats)
             try:
                 breakdown, grads = joint_loss(params, batch, config, work=work)
                 params, state = adam_step(params, grads, state, config)
@@ -286,7 +279,7 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
                      breakdown.mi_term, breakdown.total)
             n_batches += 1
         history.append(LossBreakdown(*(sums / n_batches)))
-    flats = work = None  # freed before the full-set pass: not in its peak
+    work = None  # freed before the full-set pass: not in its peak
     stats, cstats, medians = _freeze(params, features, config)
     return TrainedModel(params=params, robust_stats=stats, classical_stats=cstats,
                         config=config, loss_history=history,

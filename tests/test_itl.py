@@ -169,6 +169,44 @@ def test_mi_with_latent_grad_floors_collapsed_latents():
         assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+@pytest.mark.parametrize("mode", ["ratio", "additive"])
+@pytest.mark.parametrize("n", [2, 3, 17, 255, 300])
+def test_mi_row_blocks_match_whole_batch(monkeypatch, n, mode):
+    rng = np.random.default_rng(27 + n)
+    sigma = 0.6
+    x = rng.uniform(size=(n, 5))
+    z = rng.normal(size=(n, 3)) * 0.5
+    xhat = ndmath.gaussian_gram(x, sigma) / n
+    # at the default block size every batch here is one block: the Gram
+    # built from x is the given one, bit for bit
+    ref = itl.matrix_mi_with_latent_grad(xhat, z, sigma, mode=mode)
+    mi, grad, comps = itl.matrix_mi_with_latent_grad(None, z, sigma, mode=mode, x=x)
+    assert (mi, comps) == (ref[0], ref[2])
+    assert np.array_equal(grad, ref[1])
+    scale = np.max(np.abs(ref[1]))
+    for rows in (1, n // 3 + 1, n):  # one row, uneven blocks, the whole batch
+        monkeypatch.setattr(itl, "_MI_BLOCK", rows * n)
+        for given, work in ((xhat, None), (None, None), (None, itl.mi_workspace([n]))):
+            mi, grad, comps = itl.matrix_mi_with_latent_grad(
+                given, z, sigma, mode=mode, x=x, work=work)
+            if rows == n:
+                assert (mi, comps) == (ref[0], ref[2])
+                assert np.array_equal(grad, ref[1])
+            assert abs(mi - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
+            assert comps == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
+            assert np.max(np.abs(grad - ref[1])) <= 1e-10 * scale
+
+
+def test_mi_from_batch_rejects_mismatched_input():
+    z = np.zeros((4, 2))
+    with pytest.raises(ParameterError):
+        itl.matrix_mi_with_latent_grad(None, z, 0.5)
+    with pytest.raises(ParameterError):
+        itl.matrix_mi_with_latent_grad(None, z, 0.5, x=np.ones((3, 2)))
+    with pytest.raises(DataError):
+        itl.matrix_mi_with_latent_grad(None, z, 0.5, x=np.full((4, 2), np.nan))
+
+
 def test_sample_estimators_finite_on_wide_input():
     # at d=600 and sigma=0.1 the density constant is about 1e270 per
     # information potential; off-diagonal kernels underflow to 0

@@ -47,18 +47,19 @@ def test_pairwise_sq_dists_memory_stays_quadratic():
     assert peak < 4 * n * n * 8
 
 
-def test_pairwise_sq_dists_writes_into_out():
-    rng = np.random.default_rng(6)
-    a, b = rng.normal(size=(40, 7)), rng.normal(size=(30, 7))
-    flat = np.full(64 * 64, np.nan)  # a larger buffer, as fit keeps it
-    for x, y in ((a, a), (a, b)):
-        out = flat[:x.shape[0] * y.shape[0]].reshape(x.shape[0], y.shape[0])
-        got = ndmath.pairwise_sq_dists(x, y, out=out)
+def test_gaussian_rows_writes_row_blocks_into_out():
+    x = np.random.default_rng(6).normal(size=(40, 7))
+    g = ndmath.gaussian_gram(x, 0.7)
+    lhs, rhs = ndmath.lifted_rows(x, x)
+    flat = np.full(64 * 40, np.nan)  # a larger buffer, as fit keeps it
+    for start, stop in ((0, 40), (0, 13), (13, 26), (39, 40)):
+        out = flat[:(stop - start) * 40].reshape(-1, 40)
+        got = ndmath.gaussian_rows(lhs[start:stop], rhs, start, 0.7, out=out)
         assert got is out
-        assert np.array_equal(got, ndmath.pairwise_sq_dists(x, y))
-    buf = np.full((40, 40), np.nan)
-    assert ndmath.gaussian_gram(a, 0.7, out=buf) is buf
-    assert np.array_equal(buf, ndmath.gaussian_gram(a, 0.7))
+        assert np.all(np.diagonal(got, start) == 1.0)
+        np.testing.assert_allclose(got, g[start:stop], rtol=1e-13, atol=0)
+    whole = ndmath.gaussian_rows(lhs, rhs, 0, 0.7, out=flat[:40 * 40].reshape(40, 40))
+    assert np.array_equal(whole, g)
 
 
 def test_gaussian_gram_zero_distance_value():

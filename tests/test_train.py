@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drmdit import autoenc, ndmath, robust, train
+from drmdit import autoenc, itl, ndmath, robust, train
 from drmdit.data import FeatureMatrix
 from drmdit.errors import DataError, DegeneracyError, ParameterError, TrainingError
 
@@ -167,10 +167,12 @@ def test_joint_loss_full_gradient_finite_difference():
     assert worst < 1e-4
 
 
-def _flat_views(m, side):
-    """Two m x m views of NaN-filled flat buffers of side**2 elements, as
-    fit hands them to joint_loss."""
-    return tuple(np.full(side * side, np.nan)[:m * m].reshape(m, m) for _ in range(2))
+def _nan_workspace(*batch_sizes):
+    """fit's MI block buffers for these batch sizes, NaN-filled."""
+    work = itl.mi_workspace(batch_sizes)
+    for buf in work:
+        buf.fill(np.nan)
+    return work
 
 
 @pytest.mark.parametrize("m", [256, 383])  # a full batch; 1663 rows' folded tail
@@ -179,7 +181,7 @@ def test_joint_loss_workspace_is_bit_identical(m):
     cfg = train.TrainConfig(sigma=0.1, batch_size=256, latent_dim=10, hidden_dims=[])
     params = autoenc.init_params(cfg.resolve_layer_dims(10), seed=4)
     ref_loss, ref_grads = train.joint_loss(params, x, cfg)
-    work = _flat_views(m, 383)
+    work = _nan_workspace(256, 383)
     for _ in range(2):  # reused buffers hold the previous step's values
         loss, grads = train.joint_loss(params, x, cfg, work=work)
         assert loss == ref_loss
@@ -188,12 +190,11 @@ def test_joint_loss_workspace_is_bit_identical(m):
                 assert np.array_equal(a, b)
 
 
-def test_joint_loss_with_workspace_allocates_no_n_by_n_array():
-    n = 512
+def _joint_loss_peak(n, work=None):
+    """tracemalloc peak of a second joint_loss step on an n x 10 batch."""
     x = np.random.default_rng(42).uniform(size=(n, 10))
     cfg = train.TrainConfig(sigma=0.1, batch_size=n, latent_dim=10, hidden_dims=[])
     params = autoenc.init_params(cfg.resolve_layer_dims(10), seed=5)
-    work = _flat_views(n, n)
     train.joint_loss(params, x, cfg, work=work)  # first step: lazy imports, caches
     tracemalloc.start()
     try:
@@ -201,7 +202,22 @@ def test_joint_loss_with_workspace_allocates_no_n_by_n_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n * n * 8
+    return peak
+
+
+def test_joint_loss_with_workspace_allocates_no_n_by_n_array():
+    # given the workspace, a step allocates neither an N x N array nor a
+    # block buffer of its own
+    n = 512
+    work = _nan_workspace(n)
+    assert _joint_loss_peak(n, work) < min(n * n * 8, work[0].nbytes)
+
+
+def test_joint_loss_memory_is_row_blocked():
+    # without a workspace the step holds two row-block buffers, never an
+    # N x N array (two of them are 64 MiB at N=2048)
+    n = 2048
+    assert _joint_loss_peak(n) < n * n * 8
 
 
 def test_fit_reuses_workspace_across_batch_sizes(monkeypatch):
@@ -214,6 +230,22 @@ def test_fit_reuses_workspace_across_batch_sizes(monkeypatch):
     monkeypatch.setattr(train, "joint_loss",
                         lambda *args, work=None, **kwargs: plain(*args, **kwargs))
     assert train.model_to_dict(train.fit(x, cfg)) == with_work
+
+
+def test_fit_without_epochs_allocates_no_workspace():
+    # no steps: nothing of the batch size is allocated (3000 x 3000 MI
+    # buffers would be 144 MB)
+    x = np.random.default_rng(44).uniform(size=(3000, 4))
+    cfg = train.TrainConfig(epochs=0, batch_size=5000, latent_dim=2)
+    train.fit(x, cfg)  # first call: lazy imports, caches
+    tracemalloc.start()
+    try:
+        model = train.fit(x, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.loss_history == []
+    assert peak < 1 << 20
 
 
 def test_adam_first_step_magnitude():
