@@ -118,9 +118,21 @@ def _encoder(params: NetworkParams, x):
     """(pre-activation, activation) of each encoder layer in turn."""
     h = x
     for w, b in zip(params.weights, params.biases_enc):
-        pre = h @ w.T + b
+        pre = h @ w.T
+        pre += b
         h = _act(params.activation, pre)
         yield pre, h
+
+
+def _decoder(params: NetworkParams, latent):
+    """(pre-activation, activation) of each decoder layer in turn, from the
+    latent back to the reconstruction; the output layer is linear."""
+    g = latent
+    for l in range(len(params.weights) - 1, -1, -1):
+        pre = g @ params.weights[l]
+        pre += params.biases_dec[l]
+        g = pre if l == 0 else _act(params.activation, pre)
+        yield pre, g
 
 
 def encode(params: NetworkParams, batch):
@@ -129,6 +141,14 @@ def encode(params: NetworkParams, batch):
     for _, latent in _encoder(params, _as_batch(params, batch)):
         pass
     return latent
+
+
+def decode(params: NetworkParams, latent):
+    """The reconstruction of latent rows: forward's decoder half, keeping no
+    per-layer record."""
+    for _, reconstruction in _decoder(params, latent):
+        pass
+    return reconstruction
 
 
 def forward(params: NetworkParams, batch) -> ForwardTrace:
@@ -144,10 +164,7 @@ def forward(params: NetworkParams, batch) -> ForwardTrace:
     dec_pre = [None] * n_layers
     dec_act = [None] * (n_layers + 1)
     dec_act[n_layers] = latent
-    g = latent
-    for l in range(n_layers - 1, -1, -1):
-        pre = g @ params.weights[l] + params.biases_dec[l]
-        g = pre if l == 0 else _act(params.activation, pre)  # linear output layer
+    for l, (pre, g) in zip(range(n_layers - 1, -1, -1), _decoder(params, latent)):
         dec_pre[l] = pre
         dec_act[l] = g
     return ForwardTrace(enc_pre=enc_pre, enc_act=enc_act, dec_pre=dec_pre,

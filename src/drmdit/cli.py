@@ -68,6 +68,25 @@ def _load_dataset(csv_path, features_json=None):
     return dataset
 
 
+def _training_set(data_path, features_json):
+    """The CSV's normal rows, skew-filtered and min-max scaled, all in the
+    one feature array the CSV was read into."""
+    dataset = _load_dataset(data_path, features_json)
+    if dataset.labels is not None:
+        normal = dataset.labels == 0
+        n_normal = np.count_nonzero(normal)
+        click.echo(f"training on {n_normal} normal rows "
+                   f"(dropped {dataset.n_rows - n_normal} labeled anomalies)",
+                   err=True)
+        dataset.keep_rows(normal)
+    dataset, dropped, widened = data_mod.skew_filter(dataset)
+    note = " (cutoff widened to the 10% cap)" if widened else ""
+    click.echo(f"skew filter dropped {dropped} rows{note}", err=True)
+    dataset.normalization = data_mod.fit_minmax(dataset)
+    data_mod.minmax_rows(dataset.features, dataset.normalization, out=dataset.features)
+    return dataset
+
+
 class _ScoringRows:
     """A CSV's scoring columns as detect.score and detect.evaluate take
     them, read and normalized with the training record one chunk at a
@@ -123,18 +142,8 @@ def cli_train(data_path, features_json, config_json, out_path, seed):
         doc = {"seed": seed, **_read_json(config_json, "--config")}
         config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
         config.validate()  # before the CSV is read
-        dataset = _load_dataset(data_path, features_json)
-        if dataset.labels is not None:
-            keep = np.nonzero(dataset.labels == 0)[0]
-            click.echo(f"training on {keep.size} normal rows "
-                       f"(dropped {dataset.n_rows - keep.size} labeled anomalies)",
-                       err=True)
-            dataset = dataset.take(keep)
-        filtered, dropped, widened = data_mod.skew_filter(dataset)
-        note = " (cutoff widened to the 10% cap)" if widened else ""
-        click.echo(f"skew filter dropped {dropped} rows{note}", err=True)
-        normalized = data_mod.apply_minmax(filtered, data_mod.fit_minmax(filtered))
-        train_mod.save_checkpoint(train_mod.fit(normalized, config), out_path)
+        dataset = _training_set(data_path, features_json)
+        train_mod.save_checkpoint(train_mod.fit(dataset, config), out_path)
         click.echo(f"wrote {out_path}")
     except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
         _fail(exc)

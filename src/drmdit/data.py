@@ -29,6 +29,7 @@ from .robust import median_mad
 SKEW_CUTOFF_MADS = 6.0  # about 4 sigma for Gaussian columns
 MAX_SKEW_DROP_FRACTION = 0.10
 DEFAULT_NORMAL_VALUES = ("Benign", "BENIGN", "benign", "normal", "Normal", "0")
+_KEEP_BLOCK = 4096  # rows keep_rows moves at a time
 
 
 @dataclass
@@ -65,6 +66,23 @@ class FeatureMatrix:
             normalization=self.normalization,
             tags=None if self.tags is None else self.tags[idx],
         )
+
+    def keep_rows(self, keep):
+        """Keep only the rows where the boolean mask keep is true, in order,
+        in place: they move to the front of the feature array _KEEP_BLOCK
+        rows at a time, and features becomes a view of them. Unlike take,
+        this allocates no second N x d array."""
+        x = self.features
+        n = 0
+        for start in range(0, x.shape[0], _KEEP_BLOCK):
+            rows = np.flatnonzero(keep[start:start + _KEEP_BLOCK]) + start
+            x[n:n + rows.size] = x[rows]
+            n += rows.size
+        self.features = x[:n]
+        if self.labels is not None:
+            self.labels = self.labels[keep]
+        if self.tags is not None:
+            self.tags = self.tags[keep]
 
 
 def load_csv(path, label_column=None, columns=None,
@@ -628,22 +646,32 @@ def skew_filter(train: FeatureMatrix):
     """Drop rows with any feature outside median +/- 6*MAD.
 
     Never removes more than 10% of rows: if the cutoff would, it widens to
-    the exact 10%-drop quantile of the per-row exceedance. Returns
-    (filtered FeatureMatrix, dropped_count, widened_flag).
+    the exact 10%-drop quantile of the per-row exceedance. The rows are
+    dropped from train in place (FeatureMatrix.keep_rows), and the
+    exceedance is built one column at a time, so the filter needs O(N)
+    memory beyond train's. Returns (train, dropped_count, widened_flag).
     """
     x = train.features
-    if x.shape[0] < 10:
-        raise ParameterError(f"skew_filter needs >= 10 rows, got {x.shape[0]}")
-    med, mads = median_mad(x)
-    exceed = np.max(np.abs(x - med) / mads, axis=1)  # worst feature per row
+    n = x.shape[0]
+    if n < 10:
+        raise ParameterError(f"skew_filter needs >= 10 rows, got {n}")
+    exceed = np.zeros(n)  # worst feature per row, in MADs
+    for column in x.T:
+        med, mad = median_mad(column)
+        deviation = column - med
+        np.abs(deviation, out=deviation)
+        deviation /= mad
+        np.maximum(exceed, deviation, out=exceed)
     keep = exceed <= SKEW_CUTOFF_MADS
     widened = False
-    max_drop = int(np.floor(MAX_SKEW_DROP_FRACTION * x.shape[0]))
-    if (~keep).sum() > max_drop:
+    max_drop = int(np.floor(MAX_SKEW_DROP_FRACTION * n))
+    if n - np.count_nonzero(keep) > max_drop:
         widened = True
-        cutoff = np.sort(exceed)[x.shape[0] - max_drop - 1]
+        cutoff = np.partition(exceed, n - max_drop - 1)[n - max_drop - 1]
         keep = exceed <= cutoff
-    return train.take(np.nonzero(keep)[0]), int((~keep).sum()), widened
+    dropped = n - np.count_nonzero(keep)
+    train.keep_rows(keep)
+    return train, dropped, widened
 
 
 @dataclass(frozen=True)

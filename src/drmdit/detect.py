@@ -79,10 +79,15 @@ def score(model, data, mode="robust_md"):
         s[n:stop] = _block_scores(model, block, mode)
         n = stop
     s.resize(n, refcheck=False)
-    bad = n - np.count_nonzero(np.isfinite(s))
-    if bad:
-        raise DegeneracyError(f"{bad} of {n} {mode} scores are not finite")
+    _require_finite(s, mode)
     return s
+
+
+def _require_finite(scores, what):
+    """DegeneracyError unless every one of scores is finite."""
+    bad = scores.size - np.count_nonzero(np.isfinite(scores))
+    if bad:
+        raise DegeneracyError(f"{bad} of {scores.size} {what} scores are not finite")
 
 
 def _blocks(chunks, width):
@@ -119,12 +124,21 @@ def _blocks(chunks, width):
 
 
 def _block_scores(model, block, mode):
+    latent = autoenc.encode(model.params, block)
     if mode == "euclidean_recon":
-        resid = autoenc.forward(model.params, block).reconstruction - block
-        return np.mean(resid * resid, axis=1)
+        return _recon_errors(model.params, block, latent)
     if mode == "robust_md":
-        return robust.robust_md(autoenc.encode(model.params, block), model.robust_stats)
-    return robust.classical_md(autoenc.encode(model.params, block), model.classical_stats)
+        return robust.robust_md(latent, model.robust_stats)
+    return robust.classical_md(latent, model.classical_stats)
+
+
+def _recon_errors(params, rows, latent):
+    """The euclidean_recon score of each of rows, whose latent rows are
+    given: the mean squared error of their reconstruction."""
+    resid = autoenc.decode(params, latent)
+    resid -= rows
+    resid *= resid
+    return resid.mean(axis=1)
 
 
 def classify(scores, band: ScoreBand):

@@ -42,7 +42,9 @@ def median_mad(x):
     """Per-column medians of x and median absolute deviations from them,
     each MAD clamped below at MAD_FLOOR. Returns (medians, mads)."""
     medians = np.median(x, axis=0)
-    return medians, np.maximum(np.median(np.abs(x - medians), axis=0), MAD_FLOOR)
+    deviations = x - medians
+    np.abs(deviations, out=deviations)
+    return medians, np.maximum(np.median(deviations, axis=0), MAD_FLOOR)
 
 
 def mad(values):

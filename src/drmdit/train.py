@@ -117,7 +117,7 @@ class TrainedModel:
     feature_names: list | None = None
 
     def reconstruct(self, features):
-        return autoenc.forward(self.params, features).reconstruction
+        return autoenc.decode(self.params, autoenc.encode(self.params, features))
 
 
 def _md_term_with_grad(latents, stats):
@@ -218,17 +218,30 @@ def adam_step(params: NetworkParams, grads: Gradients, state: AdamState,
 
 
 def _freeze(params, features, config):
-    trace = autoenc.forward(params, features)
-    z = trace.latent
+    """The robust and classical latent stats of the N x d features and the
+    median of each scoring mode's training scores.
+
+    The rows are encoded and decoded in detect.score's blocks, with no
+    per-layer trace: only the N x k latents and the N reconstruction errors
+    are kept. A non-finite training score is a DegeneracyError, as in
+    detect.score.
+    """
+    n = features.shape[0]
+    z = np.empty((n, params.layer_dims[-1]))
+    errors = np.empty(n)
+    for start in range(0, n, detect._SCORE_BLOCK):
+        block = features[start:start + detect._SCORE_BLOCK]
+        stop = start + block.shape[0]
+        z[start:stop] = autoenc.encode(params, block)
+        errors[start:stop] = detect._recon_errors(params, block, z[start:stop])
     stats = robust.robust_correlation(z, ridge_epsilon=config.ridge_epsilon)
     cstats = robust.classical_stats(z, ridge_epsilon=config.ridge_epsilon)
-    resid = trace.reconstruction - features
-    medians = {
-        "robust_md": float(np.median(robust.robust_md(z, stats))),
-        "classical_md": float(np.median(robust.classical_md(z, cstats))),
-        "euclidean_recon": float(np.median(np.mean(resid * resid, axis=1))),
-    }
-    return stats, cstats, medians
+    scores = {"robust_md": robust.robust_md(z, stats),
+              "classical_md": robust.classical_md(z, cstats),
+              "euclidean_recon": errors}
+    for mode, s in scores.items():
+        detect._require_finite(s, f"training {mode}")
+    return stats, cstats, {mode: float(np.median(s)) for mode, s in scores.items()}
 
 
 def fit(train_data, config: TrainConfig) -> TrainedModel:
@@ -374,8 +387,17 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def save_checkpoint(model: TrainedModel, path):
+    """Write model as a JSON checkpoint. A model that load_checkpoint would
+    reject (_check_arrays), a non-finite number among them, is a
+    DegeneracyError, and no file is written."""
+    try:
+        _check_arrays(model)
+        text = json.dumps(model_to_dict(model), indent=1, sort_keys=True,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise DegeneracyError(f"model not saved: {exc}") from None
     with data.open_output(path) as fh:
-        json.dump(model_to_dict(model), fh, indent=1, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

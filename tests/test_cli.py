@@ -121,6 +121,24 @@ def test_train_out_of_range_config_exits_2(runner, synth_csv, tmp_path, config):
     assert not out.exists()
 
 
+def test_train_with_non_finite_training_scores_exits_4(runner, synth_csv, tmp_path):
+    # one step at a learning rate of 1e300 leaves finite weights whose
+    # reconstructions overflow; a checkpoint with an Infinity median could
+    # not be loaded, so none is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 256, "latent_dim": 2,
+                               "learning_rate": 1e300}))
+    out = tmp_path / "m.json"
+    with np.errstate(over="ignore"):
+        result = runner.invoke(main, [
+            "train", "--data", str(synth_csv), "--config", str(cfg),
+            "--out", str(out), "--features", _features_json(tmp_path),
+        ])
+    assert result.exit_code == 4, result.output
+    assert "training euclidean_recon scores are not finite" in result.output
+    assert not out.exists()
+
+
 def test_train_without_features_takes_the_label_column(runner, synth_csv, tmp_path):
     # synth writes f0..f3,label,tag: label is the label, not a fifth feature
     cfg = tmp_path / "cfg.json"

@@ -482,12 +482,12 @@ def test_skew_filter_single_outlier_row():
     x = rng.standard_normal((200, 2))
     med = np.median(x[:, 0])
     mad = np.median(np.abs(x[:, 0] - med))
-    x[17, 0] = med + 100.0 * mad
+    outlier = x[17, 0] = med + 100.0 * mad
     fm = data.FeatureMatrix(features=x)
-    out, dropped, _ = data.skew_filter(fm)
+    out, dropped, _ = data.skew_filter(fm)  # moves the kept rows within x
     assert dropped == 1
     assert out.n_rows == 199
-    assert not np.any(np.isclose(out.features[:, 0], x[17, 0]))
+    assert not np.any(np.isclose(out.features[:, 0], outlier))
 
 
 def test_skew_filter_constant_dataset():
@@ -504,6 +504,54 @@ def test_skew_filter_drop_cap():
     out, dropped, widened = data.skew_filter(data.FeatureMatrix(features=x))
     assert dropped <= 10
     assert widened
+
+
+def _reference_skew_keep(x):
+    """The kept-row mask of skew_filter as one whole-matrix formula, with
+    the widened cutoff read from a full sort."""
+    med = np.median(x, axis=0)
+    mads = np.maximum(np.median(np.abs(x - med), axis=0), 1e-6)
+    exceed = np.max(np.abs(x - med) / mads, axis=1)
+    keep = exceed <= data.SKEW_CUTOFF_MADS
+    max_drop = int(np.floor(data.MAX_SKEW_DROP_FRACTION * x.shape[0]))
+    if (~keep).sum() > max_drop:
+        keep = exceed <= np.sort(exceed)[x.shape[0] - max_drop - 1]
+    return keep
+
+
+@pytest.mark.parametrize("n_outliers", [30, 2000])
+def test_skew_filter_keeps_the_rows_of_the_whole_matrix_formula(n_outliers):
+    # 2000 of 9000 rows far out in one column or another force the 10% cap;
+    # the widened cutoff is an order statistic, so partition picks the row
+    # that the full sort does
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((9000, 6))
+    rows = rng.choice(9000, n_outliers, replace=False)
+    x[rows, rows % 6] += rng.uniform(10.0, 50.0, n_outliers)
+    labels = rng.integers(0, 2, 9000)
+    keep = _reference_skew_keep(x)
+    expected = x[keep]
+    fm = data.FeatureMatrix(features=x, labels=labels)
+    out, dropped, widened = data.skew_filter(fm)
+    assert widened == (n_outliers == 2000)
+    assert dropped == 9000 - keep.sum() == (900 if widened else dropped)
+    assert np.array_equal(out.features, expected)
+    assert np.array_equal(out.labels, labels[keep])
+    assert np.shares_memory(out.features, x)  # filtered in place
+
+
+def test_keep_rows_matches_take_across_blocks():
+    rng = np.random.default_rng(45)
+    fm = data.FeatureMatrix(features=rng.standard_normal((3 * data._KEEP_BLOCK + 5, 3)),
+                            labels=rng.integers(0, 2, 3 * data._KEEP_BLOCK + 5),
+                            tags=np.arange(3 * data._KEEP_BLOCK + 5))
+    keep = rng.uniform(size=fm.n_rows) < 0.7
+    keep[:data._KEEP_BLOCK] = True  # a first block that stays where it is
+    expected = fm.take(np.flatnonzero(keep))
+    fm.keep_rows(keep)
+    assert np.array_equal(fm.features, expected.features)
+    assert np.array_equal(fm.labels, expected.labels)
+    assert np.array_equal(fm.tags, expected.tags)
 
 
 def test_skew_filter_idempotent_on_clean_data():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drmdit import autoenc, itl, ndmath, robust, train
+from drmdit import autoenc, cli, itl, ndmath, robust, train
 from drmdit.data import FeatureMatrix
 from drmdit.errors import DataError, DegeneracyError, ParameterError, TrainingError
 
@@ -371,6 +371,104 @@ def test_grid_search_with_every_cell_degenerate_is_an_error(monkeypatch):
 def test_grid_search_empty_grid():
     with pytest.raises(ParameterError):
         train.grid_search(np.zeros((10, 2)), np.zeros((10, 2)), [], [])
+
+
+def _whole_set_freeze(params, x, config):
+    """_freeze as one pass over the whole set: a full forward trace and the
+    N x d residual."""
+    trace = autoenc.forward(params, x)
+    z = trace.latent
+    stats = robust.robust_correlation(z, ridge_epsilon=config.ridge_epsilon)
+    cstats = robust.classical_stats(z, ridge_epsilon=config.ridge_epsilon)
+    resid = trace.reconstruction - x
+    return stats, cstats, {
+        "robust_md": float(np.median(robust.robust_md(z, stats))),
+        "classical_md": float(np.median(robust.classical_md(z, cstats))),
+        "euclidean_recon": float(np.median(np.mean(resid * resid, axis=1))),
+    }
+
+
+@pytest.mark.parametrize("n", [9000, 2 * 4096 + 1])
+def test_freeze_in_blocks_is_bit_identical_to_the_whole_set_pass(n):
+    # three scoring blocks, the last one partial
+    x = np.random.default_rng(46).uniform(size=(n, 7))
+    cfg = train.TrainConfig(epochs=1, batch_size=1024, latent_dim=3, sigma=0.5, seed=3)
+    model = train.fit(x, cfg)
+    stats, cstats, medians = _whole_set_freeze(model.params, x, cfg)
+    assert model.train_score_medians == medians
+    for got, want in ((model.robust_stats, stats), (model.classical_stats, cstats)):
+        for name in want.__dataclass_fields__:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_fit_without_epochs_holds_less_than_one_copy_of_the_set():
+    # the final pass keeps N x k latents and N errors; a forward trace of
+    # the whole set would hold several N x d arrays
+    n, d = 100_000, 41
+    x = np.random.default_rng(47).uniform(size=(n, d))
+    cfg = train.TrainConfig(epochs=0, latent_dim=8)
+    train.fit(x[:5000], cfg)  # first call: lazy imports, caches
+    tracemalloc.start()
+    try:
+        train.fit(x, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d * 8
+
+
+def test_train_path_holds_at_most_two_copies_of_the_loaded_set(tmp_path):
+    # load, drop labeled anomalies, skew-filter, min-max scale and fit: one
+    # N x d array throughout, plus the loader's chunk buffers and O(N * k)
+    n, d = 30_000, 41
+    rng = np.random.default_rng(50)
+    x = rng.standard_normal((n, d)).round(5)
+    x[rng.choice(n, 300, replace=False), 3] += 40.0  # skew outliers
+    labels = np.where(rng.uniform(size=n) < 0.1, "DoS", "BENIGN")
+    lines = [",".join(map(repr, row)) + f",{label}\n"
+             for row, label in zip(x.tolist(), labels)]
+    paths = {}
+    for name, rows in (("warm", lines[:100]), ("flows", lines)):
+        paths[name] = tmp_path / f"{name}.csv"
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n")
+            fh.writelines(rows)
+    features = tmp_path / "features.json"
+    features.write_text(json.dumps({"label_column": "label"}))
+    cfg = train.TrainConfig(epochs=0)
+    train.fit(cli._training_set(paths["warm"], features), cfg)  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        model = train.fit(cli._training_set(paths["flows"], features), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.normalization) == d
+    assert peak <= 2 * n * d * 8
+
+
+def test_a_non_finite_training_score_is_a_degeneracy_error():
+    # a learning rate of 1e300 leaves finite weights whose reconstructions
+    # overflow: the checkpoint would hold an Infinity median
+    x = np.random.default_rng(48).uniform(size=(300, 4))
+    cfg = train.TrainConfig(epochs=1, batch_size=300, latent_dim=2, learning_rate=1e300)
+    with np.errstate(over="ignore"), \
+            pytest.raises(DegeneracyError, match="training euclidean_recon scores"):
+        train.fit(x, cfg)
+
+
+@pytest.mark.parametrize("edit", ["median", "weight"])
+def test_save_checkpoint_refuses_a_model_load_would_reject(tmp_path, edit):
+    model = train.fit(np.random.default_rng(49).uniform(size=(100, 4)),
+                      train.TrainConfig(epochs=1, batch_size=50, latent_dim=2))
+    if edit == "median":
+        model.train_score_medians["robust_md"] = float("nan")
+    else:
+        model.params.weights[0][0, 0] = float("inf")
+    path = tmp_path / "model.json"
+    with pytest.raises(DegeneracyError, match="model not saved.*non-finite"):
+        train.save_checkpoint(model, path)
+    assert not path.exists()
 
 
 def test_checkpoint_roundtrip(tmp_path):
