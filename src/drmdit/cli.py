@@ -104,12 +104,13 @@ class _ScoringRows:
             if model.normalization is not None:
                 data_mod.minmax_rows(features, model.normalization, out=features)
             if self.labeled:
-                labels.append(anomalous)
+                # a byte a row while the chunks are scored, not eight
+                labels.append(anomalous.astype(np.int8))
             dropped += n_dropped
             yield features
         _echo_dropped(dropped)
         if self.labeled:
-            self.labels = np.concatenate(labels)
+            self.labels = np.concatenate(labels).astype(np.int64)
 
 
 @contextlib.contextmanager
@@ -231,16 +232,18 @@ def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
                 f"--sigma must be comma-separated numbers, got {sigma_list!r}"
             ) from None
         dataset = _load_dataset(data_path, features_json)
-        trainset, valset, _ = data_mod.split(dataset, 0.6, seed=seed)
+        train_rows, val_rows, _ = data_mod.split_rows(dataset, 0.6, seed=seed)
+        trainset, valset = dataset.take(train_rows), dataset.take(val_rows)
+        del dataset  # freed with the test split, which sweep does not use
         if trainset.labels is not None:
-            trainset = trainset.take(np.nonzero(trainset.labels == 0)[0])
-        record = data_mod.fit_minmax(trainset)
-        train_norm = data_mod.apply_minmax(trainset, record)
-        val_norm = data_mod.apply_minmax(valset, record)
+            trainset.keep_rows(trainset.labels == 0)
+        trainset.normalization = data_mod.fit_minmax(trainset)
+        for part in (trainset, valset):
+            data_mod.minmax_rows(part.features, trainset.normalization, out=part.features)
         base = train_mod.TrainConfig(seed=seed)
-        base.batch_size = min(base.batch_size, train_norm.n_rows)
+        base.batch_size = min(base.batch_size, trainset.n_rows)
         weight_grid = [train_mod.LossWeights()]
-        best, table = train_mod.grid_search(train_norm, val_norm, sigmas,
+        best, table = train_mod.grid_search(trainset, valset, sigmas,
                                            weight_grid, base_config=base,
                                            epochs=epochs)
         with data_mod.open_output(out_path) as fh:

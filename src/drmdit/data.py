@@ -207,11 +207,14 @@ class CsvChunks:
             text = "".join(chunk)
             if any(c in text for c in _LINE_SPLIT_UNSAFE):
                 lines = self._counted(itertools.chain(chunk, fh))
+                del chunk, text  # the chain lets go of each line it reads
                 yield from _rule_rows(csv.reader(lines), layout)
                 return
             self.chars += len(text)
             self.lines += len(chunk)
-            yield _parse_lines(chunk, text, layout)
+            rows = _parse_lines(chunk, text, layout)
+            del chunk, text  # not held while the caller uses the rows
+            yield rows
 
     def _counted(self, lines):
         for line in lines:
@@ -755,8 +758,9 @@ def synth_generate(spec: SynthSpec) -> FeatureMatrix:
                          feature_names=[f"f{j}" for j in range(d)], tags=tags)
 
 
-def split(data: FeatureMatrix, train_fraction, seed=42):
-    """Seed-deterministic (train, validation, test) split.
+def split_rows(data: FeatureMatrix, train_fraction, seed=42):
+    """Seed-deterministic (train, validation, test) split of data's rows:
+    three sorted index arrays, for FeatureMatrix.take.
 
     Validation and test share the remainder equally. Stratified by label
     when labels are present.
@@ -784,4 +788,4 @@ def split(data: FeatureMatrix, train_fraction, seed=42):
         raise ParameterError(
             f"{n} rows cannot support a {train_fraction:.2f} train split"
         )
-    return data.take(np.sort(tr)), data.take(np.sort(va)), data.take(np.sort(te))
+    return np.sort(tr), np.sort(va), np.sort(te)

@@ -94,14 +94,21 @@ def _blocks(chunks, width):
     """The rows of chunks (arrays of width columns) in consecutive
     _SCORE_BLOCK-row blocks, the last one partial. A block that lies inside
     one chunk is a view of it; the others are assembled in one buffer, so
-    each block must be used before the next is drawn."""
-    buf, held = None, 0
+    each block must be used before the next is drawn. A chunk's leftover
+    rows are copied into that buffer only once another chunk arrives."""
+    buf, held, tail = None, 0, None
     for rows in chunks:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != width:
             raise ParameterError(
                 f"data of shape {rows.shape} does not have the {width} features "
                 "the model expects")
+        if tail is not None:
+            if buf is None:
+                buf = np.empty((_SCORE_BLOCK, width))
+            held = tail.shape[0]
+            buf[:held] = tail
+            tail = None
         start = 0
         if held:
             start = min(_SCORE_BLOCK - held, rows.shape[0])
@@ -115,11 +122,10 @@ def _blocks(chunks, width):
         for i in range(start, stop, _SCORE_BLOCK):
             yield rows[i:i + _SCORE_BLOCK]
         if stop < rows.shape[0]:
-            if buf is None:
-                buf = np.empty((_SCORE_BLOCK, width))
-            held = rows.shape[0] - stop
-            buf[:held] = rows[stop:]
-    if held:
+            tail = rows[stop:]
+    if tail is not None:
+        yield tail
+    elif held:
         yield buf[:held]
 
 
@@ -207,11 +213,22 @@ def auc(scores, labels, center=None):
     t = fold_scores(s, center)
     order = np.argsort(t, kind="stable")
     sorted_t = t[order]
+    del t
     # a run of tied scores at sorted positions i..j shares rank (i + j) / 2 + 1
     starts = np.flatnonzero(np.r_[True, sorted_t[1:] != sorted_t[:-1]])
-    ends = np.r_[starts[1:], t.size] - 1
-    ranks = np.empty(t.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    del sorted_t  # freed before the ranks are built
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = s.size
+    ends -= 1
+    run_ranks = np.add(starts, ends, dtype=np.float64)
+    run_ranks *= 0.5
+    run_ranks += 1.0
+    run_sizes = np.subtract(ends, starts, out=ends)
+    run_sizes += 1
+    del starts
+    ranks = np.empty(s.size, dtype=np.float64)
+    ranks[order] = np.repeat(run_ranks, run_sizes)
     n_pos, n_neg = int(pos.sum()), int(neg.sum())
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -233,29 +250,50 @@ def select_band(scores, labels) -> ScoreBand:
         raise ParameterError("scores/labels length mismatch")
     if len(np.unique(y)) < 2:
         raise ParameterError("band selection needs both classes present")
-    values, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    pos = np.bincount(group, weights=y, minlength=values.size).astype(np.int64)
-    del group  # 8 bytes a row, not needed by the scan
-    # anomalies and rows flagged by low cut i (groups < i) and high cut j (> j)
-    tp_low = np.cumsum(pos) - pos
-    n_low = np.cumsum(counts) - counts
-    total_pos = int(tp_low[-1] + pos[-1])
-    tp_high = total_pos - tp_low - pos
-    n_high = s.size - n_low - counts
+    # one sort: the distinct scores (values) and, for each cut k below
+    # group k (k = values.size: above the last), the rows (n_low) and the
+    # anomalies (tp_low) of the groups below it
+    order = np.argsort(s)
+    s_sorted, y_sorted = s[order], y[order]
+    del order
+    run_start = np.empty(s.size + 1, dtype=bool)
+    run_start[0] = run_start[-1] = True
+    np.not_equal(s_sorted[1:], s_sorted[:-1], out=run_start[1:-1])
+    n_low = np.flatnonzero(run_start)
+    del run_start
+    values = s_sorted[n_low[:-1]]
+    del s_sorted
+    pos = np.add.reduceat(y_sorted, n_low[:-1])
+    del y_sorted
+    tp_low = np.zeros_like(n_low)
+    np.cumsum(pos, out=tp_low[1:])
+    del pos
+    total_pos = int(tp_low[-1])
+    # Low cut i and high cut j (above group j, so below group j + 1) flag
+    # tp = tp_low[i] + P - tp_low[j + 1] anomalies among
+    # n_low[i] + n - n_low[j + 1] rows. With f = 2 den tp_low - num n_low,
+    # 2 den tp - num (flagged + P) = f[i] - f[j + 1] + 2 den P - num (n + P).
+    # The scan runs in two buffers: best_low[j] = max(f[:j + 1]), and in
+    # place of f[j + 1], gain[j], the best pair's with high cut j.
+    f, best = np.empty_like(n_low), np.empty_like(n_low)
+    best_low, gain = best[:-1], f[1:]
     num, den = 0, total_pos  # F1 of flagging nothing
     while True:  # is some pair's F1 above num/den? then it is the new num/den
-        best_low = np.maximum.accumulate(den * 2 * tp_low - num * n_low)
-        gain = best_low + den * 2 * tp_high - num * (n_high + total_pos)
+        np.multiply(tp_low, 2 * den, out=f)
+        f -= np.multiply(n_low, num, out=best)
+        np.maximum.accumulate(f[:-1], out=best_low)
+        np.subtract(best_low, gain, out=gain)
+        gain += 2 * den * total_pos - num * (s.size + total_pos)
         j = int(np.argmax(gain))
         if gain[j] <= 0:
             break
         i = int(np.searchsorted(best_low, best_low[j]))
-        num = 2 * int(tp_low[i] + tp_high[j])
-        den = int(n_low[i] + n_high[j]) + total_pos
+        num = 2 * (int(tp_low[i]) + total_pos - int(tp_low[j + 1]))
+        den = int(n_low[i]) + s.size + total_pos - int(n_low[j + 1])
     # for each optimal j the fewest flagged i is the first reaching the prefix max
     j = np.flatnonzero(gain == 0)
     i = np.searchsorted(best_low, best_low[j])
-    flagged = n_low[i] + n_high[j]
+    flagged = n_low[i] - n_low[j + 1]  # minus n, the same for every pair
     fewest = flagged == flagged.min()
     i, j = i[fewest], j[fewest]
     # cut i lies below group i, cut j above group j: a midpoint, or half the
@@ -282,8 +320,11 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
         if labels is None:
             raise ParameterError("auto band selection requires labels")
         band = select_band(s, labels)
-    predictions, tags = classify(s, band)
     center = fold_center(model, s, mode)
+    # before the report's columns exist: not in the peak of its sort
+    area = (auc(s, labels, center=center)
+            if labels is not None and len(np.unique(labels)) > 1 else None)
+    predictions, tags = classify(s, band)
     report = ScoreReport(
         scores=s, transformed_scores=fold_scores(s, center),
         predictions=predictions, tags=tags, band=band,
@@ -291,8 +332,8 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
     )
     if labels is not None:
         report.metrics = metrics(predictions, labels)
-        if len(np.unique(labels)) > 1:
-            report.metrics["auc"] = auc(s, labels, center=center)
+        if area is not None:
+            report.metrics["auc"] = area
     return report
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,36 @@ def test_sweep_command(runner, synth_csv, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "sigma,alpha,beta,gamma,score"
     assert len(lines) == 3
+
+
+def test_sweep_holds_about_two_copies_of_the_loaded_set(runner, tmp_path):
+    # load, take the training and validation rows, drop labeled anomalies
+    # and min-max scale both in place: at the peak, the loaded matrix and
+    # the two splits, about 1.9 copies
+    n, d = 30_000, 41
+    rng = np.random.default_rng(51)
+    x = rng.standard_normal((n, d)).round(5)
+    labels = np.where(rng.uniform(size=n) < 0.1, "DoS", "BENIGN")
+    lines = [",".join(map(repr, row)) + f",{label}\n"
+             for row, label in zip(x.tolist(), labels)]
+    (tmp_path / "features.json").write_text(json.dumps({"label_column": "label"}))
+    args = {}
+    for name, rows in (("warm", lines[:500]), ("flows", lines)):
+        with open(tmp_path / f"{name}.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n")
+            fh.writelines(rows)
+        args[name] = ["sweep", "--data", str(tmp_path / f"{name}.csv"), "--features",
+                      str(tmp_path / "features.json"), "--sigma", "0.5",
+                      "--epochs", "0", "--out", str(tmp_path / f"{name}.sweep.csv")]
+    assert runner.invoke(main, args["warm"]).exit_code == 0  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, args["flows"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak <= 2.05 * n * d * 8
 
 
 def test_score_corrupt_checkpoint_exits_2(runner, synth_csv, tmp_path):

@@ -614,7 +614,7 @@ def test_synth_spec_negative_seed_or_bad_offset_is_parameter_error(change):
 
 def test_split_counts():
     fm = data.FeatureMatrix(features=np.arange(20).reshape(10, 2))
-    tr, va, te = data.split(fm, 0.8, seed=0)
+    tr, va, te = map(fm.take, data.split_rows(fm, 0.8, seed=0))
     assert (tr.n_rows, va.n_rows, te.n_rows) == (8, 1, 1)
     all_rows = np.vstack([tr.features, va.features, te.features])
     assert sorted(map(tuple, all_rows)) == sorted(map(tuple, fm.features))
@@ -624,7 +624,7 @@ def test_split_stratified_balance():
     labels = np.array([0, 1] * 50)
     fm = data.FeatureMatrix(features=np.arange(200, dtype=float).reshape(100, 2),
                             labels=labels)
-    tr, va, te = data.split(fm, 0.8, seed=1)
+    tr, va, te = map(fm.take, data.split_rows(fm, 0.8, seed=1))
     for part in (tr, va, te):
         counts = np.bincount(part.labels, minlength=2)
         assert abs(int(counts[0]) - int(counts[1])) <= 1
@@ -632,16 +632,16 @@ def test_split_stratified_balance():
 
 def test_split_deterministic():
     fm = data.FeatureMatrix(features=np.random.default_rng(44).normal(size=(30, 2)))
-    a = data.split(fm, 0.6, seed=7)
-    b = data.split(fm, 0.6, seed=7)
+    a = data.split_rows(fm, 0.6, seed=7)
+    b = data.split_rows(fm, 0.6, seed=7)
     for x, y in zip(a, b):
-        assert np.array_equal(x.features, y.features)
+        assert np.array_equal(x, y)
 
 
 def test_split_insufficient_rows():
     fm = data.FeatureMatrix(features=np.zeros((2, 1)))
     with pytest.raises(ParameterError):
-        data.split(fm, 0.9)
+        data.split_rows(fm, 0.9)
 
 
 def test_dataclass_from_dict_value_types():

@@ -291,18 +291,76 @@ def test_select_band_flags_equal_scores_together():
     assert preds.tolist() == [0, 1, 1, 1, 1]
 
 
-def test_select_band_memory_is_linear():
-    rng = np.random.default_rng(56)
-    n = 5000
-    scores = rng.normal(size=n)
-    labels = (np.abs(scores) > 1.5).astype(np.int64)
+def _peak_bytes(call):
     tracemalloc.start()
     try:
-        detect.select_band(scores, labels)
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * n * 8
+    return peak
+
+
+def test_select_band_memory_is_linear():
+    # one sort, then a scan over five arrays of the distinct scores: about
+    # 41 bytes a row
+    rng = np.random.default_rng(56)
+    n = 20_000
+    scores = rng.normal(size=n)
+    labels = (np.abs(scores) > 1.5).astype(np.int64)
+    detect.select_band(scores[:50], labels[:50])  # first call: lazy imports, caches
+    assert _peak_bytes(lambda: detect.select_band(scores, labels)) < 48 * n
+
+
+def test_auc_memory_is_linear():
+    # the sorted copy is freed before the ranks are built: about 42 bytes
+    # a row
+    rng = np.random.default_rng(57)
+    n = 20_000
+    scores = rng.normal(size=n)
+    labels = (np.abs(scores) > 1.5).astype(np.int64)
+    detect.auc(scores[:50], labels[:50], center=0.0)  # first call: lazy imports, caches
+    assert _peak_bytes(lambda: detect.auc(scores, labels, center=0.0)) < 48 * n
+
+
+def test_score_of_a_small_array_copies_no_block():
+    # a partial last block that lies in one chunk is scored as a view of it,
+    # not copied into a 4096-row buffer (4.0 MB here); the reconstruction
+    # error mode decodes the block: about two inputs' worth
+    rng = np.random.default_rng(59)
+    d = 122
+    params = autoenc.init_params([d, 8, 2], seed=5)
+    latent = autoenc.forward(params, rng.normal(size=(300, d))).latent
+    model = train.TrainedModel(
+        params=params, robust_stats=robust.robust_correlation(latent),
+        classical_stats=robust.classical_stats(latent), config=train.TrainConfig(),
+        loss_history=[], train_score_medians={})
+    x = rng.normal(size=(100, d))
+    for mode in detect.SCORING_MODES:
+        detect.score(model, x, mode=mode)  # first call: lazy imports, caches
+        assert _peak_bytes(lambda: detect.score(model, x, mode=mode)) < 4 * x.nbytes
+
+
+def test_evaluate_of_a_chunk_stream_holds_few_bytes_a_row(small_model):
+    # scores, labels and the report's columns, with the band search and the
+    # AUC run before those columns exist: about 50 bytes a row
+    n = 40_000
+    rng = np.random.default_rng(60)
+    x = rng.normal(size=(n, 4))
+    labels = (rng.uniform(size=n) < 0.1).astype(np.int64)
+    x[labels == 1] *= 3.0
+    chunks = np.array_split(x, 9)
+
+    class Stream:
+        pass
+
+    def run():
+        Stream.features = iter(chunks)
+        Stream.labels = labels
+        return detect.evaluate(small_model, Stream, mode="robust_md")
+
+    run()  # first call: lazy imports, caches
+    assert _peak_bytes(run) < 64 * n
 
 
 def test_evaluate_and_emit_report(small_model, tmp_path):
