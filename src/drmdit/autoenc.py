@@ -16,25 +16,37 @@ ACTIVATIONS = ("sigmoid", "tanh", "relu")
 
 
 def _act(name, x):
+    """The activation of x, written over x: callers pass a fresh
+    pre-activation."""
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x += 1.0
+        return np.divide(1.0, x, out=x)
     if name == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=x)
     if name == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     raise ParameterError(f"unknown activation {name!r}")
 
 
-def _act_deriv(name, pre):
+def _grad_pre(name, h, grad):
+    """The gradient at a hidden layer's pre-activation, given its
+    activation h and the gradient at h: grad times the activation's slope,
+    which each activation gives from h alone (sigmoid s(1 - s), tanh
+    1 - h^2, relu h > 0), in one new buffer."""
     if name == "sigmoid":
-        s = _act("sigmoid", pre)
-        return s * (1.0 - s)
-    if name == "tanh":
-        t = np.tanh(pre)
-        return 1.0 - t * t
-    if name == "relu":
-        return np.where(pre > 0, 1.0, 0.0)
-    raise ParameterError(f"unknown activation {name!r}")
+        out = np.subtract(1.0, h)
+        out *= h
+    elif name == "tanh":
+        out = np.multiply(h, h)
+        np.subtract(1.0, out, out=out)
+    elif name == "relu":
+        return np.multiply(grad, h > 0)
+    else:
+        raise ParameterError(f"unknown activation {name!r}")
+    out *= grad
+    return out
 
 
 @dataclass
@@ -59,11 +71,12 @@ class NetworkParams:
 
 @dataclass
 class ForwardTrace:
-    """Everything backward() needs: pre-activations and activations per layer."""
+    """Everything backward() needs: the activations of each layer, from
+    which backward takes each slope. backward never reads the
+    reconstruction, so a caller may overwrite it (joint_loss writes the
+    residual there)."""
 
-    enc_pre: list  # enc_pre[l]: N x layer_dims[l+1]
-    enc_act: list  # enc_act[0] is the input batch; enc_act[l+1] = act(enc_pre[l])
-    dec_pre: list  # dec_pre[l]: N x layer_dims[l], l = L-1 .. 0 stored by index l
+    enc_act: list  # enc_act[0] is the input batch; enc_act[l+1]: N x layer_dims[l+1]
     dec_act: list  # dec_act[l]: activations at width layer_dims[l]; dec_act[0] = recon
     latent: np.ndarray
     reconstruction: np.ndarray
@@ -115,30 +128,31 @@ def _as_batch(params: NetworkParams, batch):
 
 
 def _encoder(params: NetworkParams, x):
-    """(pre-activation, activation) of each encoder layer in turn."""
+    """The activation of each encoder layer in turn."""
     h = x
     for w, b in zip(params.weights, params.biases_enc):
-        pre = h @ w.T
-        pre += b
-        h = _act(params.activation, pre)
-        yield pre, h
+        h = h @ w.T
+        h += b
+        h = _act(params.activation, h)
+        yield h
 
 
 def _decoder(params: NetworkParams, latent):
-    """(pre-activation, activation) of each decoder layer in turn, from the
-    latent back to the reconstruction; the output layer is linear."""
+    """The activation of each decoder layer in turn, from the latent back
+    to the reconstruction; the output layer is linear."""
     g = latent
     for l in range(len(params.weights) - 1, -1, -1):
-        pre = g @ params.weights[l]
-        pre += params.biases_dec[l]
-        g = pre if l == 0 else _act(params.activation, pre)
-        yield pre, g
+        g = g @ params.weights[l]
+        g += params.biases_dec[l]
+        if l:
+            g = _act(params.activation, g)
+        yield g
 
 
 def encode(params: NetworkParams, batch):
     """The latent rows of a batch: forward's encoder half, keeping no
     per-layer record and running no decoder."""
-    for _, latent in _encoder(params, _as_batch(params, batch)):
+    for latent in _encoder(params, _as_batch(params, batch)):
         pass
     return latent
 
@@ -146,7 +160,7 @@ def encode(params: NetworkParams, batch):
 def decode(params: NetworkParams, latent):
     """The reconstruction of latent rows: forward's decoder half, keeping no
     per-layer record."""
-    for _, reconstruction in _decoder(params, latent):
+    for reconstruction in _decoder(params, latent):
         pass
     return reconstruction
 
@@ -154,21 +168,11 @@ def decode(params: NetworkParams, latent):
 def forward(params: NetworkParams, batch) -> ForwardTrace:
     """Encode then decode a batch (rows are samples)."""
     x = _as_batch(params, batch)
-    n_layers = len(params.weights)
-    enc_pre, enc_act = [], [x]
-    for pre, h in _encoder(params, x):
-        enc_pre.append(pre)
-        enc_act.append(h)
+    enc_act = [x, *_encoder(params, x)]
     latent = enc_act[-1]
-
-    dec_pre = [None] * n_layers
-    dec_act = [None] * (n_layers + 1)
-    dec_act[n_layers] = latent
-    for l, (pre, g) in zip(range(n_layers - 1, -1, -1), _decoder(params, latent)):
-        dec_pre[l] = pre
-        dec_act[l] = g
-    return ForwardTrace(enc_pre=enc_pre, enc_act=enc_act, dec_pre=dec_pre,
-                        dec_act=dec_act, latent=latent, reconstruction=dec_act[0])
+    dec_act = list(_decoder(params, latent))[::-1] + [latent]  # decoded last to first
+    return ForwardTrace(enc_act=enc_act, dec_act=dec_act,
+                        latent=latent, reconstruction=dec_act[0])
 
 
 def backward(params: NetworkParams, trace: ForwardTrace,
@@ -179,16 +183,16 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     gradients must already carry any batch-mean factors.
     """
     n_layers = len(params.weights)
-    n, k = trace.latent.shape
+    recon_shape = trace.enc_act[0].shape  # the input batch's
     if grad_wrt_latent is None:
         grad_wrt_latent = np.zeros_like(trace.latent)
     if grad_wrt_recon is None:
-        grad_wrt_recon = np.zeros_like(trace.reconstruction)
+        grad_wrt_recon = np.zeros(recon_shape)
     grad_wrt_latent = np.asarray(grad_wrt_latent, dtype=np.float64)
     grad_wrt_recon = np.asarray(grad_wrt_recon, dtype=np.float64)
     if grad_wrt_latent.shape != trace.latent.shape:
         raise ParameterError("grad_wrt_latent shape mismatch")
-    if grad_wrt_recon.shape != trace.reconstruction.shape:
+    if grad_wrt_recon.shape != recon_shape:
         raise ParameterError("grad_wrt_recon shape mismatch")
 
     grads = Gradients.zeros_like(params)
@@ -199,7 +203,7 @@ def backward(params: NetworkParams, trace: ForwardTrace,
         if l == 0:
             d_pre = d_out  # linear output layer
         else:
-            d_pre = d_out * _act_deriv(params.activation, trace.dec_pre[l])
+            d_pre = _grad_pre(params.activation, trace.dec_act[l], d_out)
         # dec step l computed: out_l = act(in @ W_l + b_dec_l), in = dec_act[l+1]
         grads.weights[l] += trace.dec_act[l + 1].T @ d_pre
         grads.biases_dec[l] += d_pre.sum(axis=0)
@@ -209,7 +213,7 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     # encoder: walk from the latent back down to the input
     d_h = d_latent
     for l in range(n_layers - 1, -1, -1):
-        d_pre = d_h * _act_deriv(params.activation, trace.enc_pre[l])
+        d_pre = _grad_pre(params.activation, trace.enc_act[l + 1], d_h)
         grads.weights[l] += d_pre.T @ trace.enc_act[l]
         grads.biases_enc[l] += d_pre.sum(axis=0)
         if l:  # nothing needs the gradient w.r.t. the input batch

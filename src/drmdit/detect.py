@@ -185,7 +185,7 @@ def fold_center(model, scores, mode):
     """The center scores of mode fold around: the model's median training
     score, or, for a checkpoint without one, the median of scores."""
     center = model.train_score_medians.get(mode)
-    return float(np.median(scores)) if center is None else center
+    return float(robust.median(scores)) if center is None else center
 
 
 def fold_scores(scores, center):
@@ -209,7 +209,7 @@ def auc(scores, labels, center=None):
     if not pos.any() or not neg.any():
         raise ParameterError("AUC needs both classes present")
     if center is None:
-        center = float(np.median(s[neg]))
+        center = float(robust.median(s[neg]))
     t = fold_scores(s, center)
     order = np.argsort(t, kind="stable")
     sorted_t = t[order]
@@ -233,6 +233,13 @@ def auc(scores, labels, center=None):
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _both_classes(labels):
+    """Whether labels hold two different values: min != max, which, unlike
+    np.unique, needs no sort and no numpy.ma import."""
+    y = np.asarray(labels)
+    return y.size > 0 and y.min() != y.max()
+
+
 def select_band(scores, labels) -> ScoreBand:
     """The two-sided band whose anomaly-class F1 is exactly the largest.
 
@@ -248,7 +255,7 @@ def select_band(scores, labels) -> ScoreBand:
     y = np.asarray(labels, dtype=np.int64)
     if s.shape != y.shape:
         raise ParameterError("scores/labels length mismatch")
-    if len(np.unique(y)) < 2:
+    if not _both_classes(y):
         raise ParameterError("band selection needs both classes present")
     # one sort: the distinct scores (values) and, for each cut k below
     # group k (k = values.size: above the last), the rows (n_low) and the
@@ -323,7 +330,7 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
     center = fold_center(model, s, mode)
     # before the report's columns exist: not in the peak of its sort
     area = (auc(s, labels, center=center)
-            if labels is not None and len(np.unique(labels)) > 1 else None)
+            if labels is not None and _both_classes(labels) else None)
     predictions, tags = classify(s, band)
     report = ScoreReport(
         scores=s, transformed_scores=fold_scores(s, center),

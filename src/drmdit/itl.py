@@ -107,7 +107,9 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
 
     Both Grams are built one block of B rows at a time, from lifted rows
     made once per call, in two B x N buffers: B * N <= _MI_BLOCK (B = 1
-    when N > _MI_BLOCK), so memory is O(B N + N (d + k)), never N x N.
+    when N > _MI_BLOCK), so memory is O(B N + N (d + k)), never N x N. Of
+    the input batch's lifted rows only the right-hand ones are kept; a
+    block's left-hand rows are rebuilt from them, exactly, as they hold -2x.
     A batch with N * N <= _MI_BLOCK is one block; more blocks regroup the
     sums over xhat, which moves only their last bits. work, when given, is
     the pair of flat buffers of mi_workspace; the result is the same as
@@ -120,20 +122,23 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     sigma = _check_sigma(sigma)
     z = _kernel_input(z, "z")
     n = z.shape[0]
+    rows = _block_rows(n)
     if xhat is None:
         if x is None:
             raise ParameterError("neither an input Gram nor an input batch given")
         x = _kernel_input(x, "x")
         if x.shape[0] != n:
             raise ParameterError(f"input batch of {x.shape[0]} rows does not match batch {n}")
-        xlhs, xrhs = lifted_rows(x, x)
+        xrhs = lifted_rows(x, x)[1]  # [-2x, 1, |x|^2]
+        d = x.shape[1]
+        xlhs = np.empty((rows, d + 2))  # one block's [x, |x|^2, 1]
+        xlhs[:, d + 1] = 1.0
     elif xhat.shape != (n, n):
         raise ParameterError(f"input Gram shape {xhat.shape} does not match batch {n}")
     zlhs, zrhs = lifted_rows(z, z)
     z1 = np.hstack([z, np.ones((n, 1))])
     k2z, p2z = np.empty_like(z1), np.empty_like(z1)
     gram_buf, latent_buf = work or mi_workspace([n])
-    rows = _block_rows(n)
     sx = tp = sd = 0.0  # sums of xhat * xhat, of xhat's diagonal and of its squares
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
@@ -141,7 +146,10 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
         kk = gaussian_rows(zlhs[r0:r1], zrhs, r0, sigma,
                            out=latent_buf[:size].reshape(-1, n))
         if xhat is None:
-            xb = gaussian_rows(xlhs[r0:r1], xrhs, r0, sigma,
+            lhs = xlhs[:r1 - r0]
+            np.multiply(xrhs[r0:r1, :d], -0.5, out=lhs[:, :d])
+            lhs[:, d] = xrhs[r0:r1, d + 1]
+            xb = gaussian_rows(lhs, xrhs, r0, sigma,
                                out=gram_buf[:size].reshape(-1, n))
             xb /= n  # unit diagonal: dividing by N is the trace normalization
         else:

@@ -38,13 +38,36 @@ class ClassicalStats:
     cov_inv: np.ndarray
 
 
+def median(x):
+    """np.median(x, axis=0), bit for bit, without the numpy.ma import that
+    np.median makes.
+
+    One np.partition at the two middle ranks (one when the row count is
+    odd); their values are summed onto 0.0 and halved, as np.median's
+    np.mean does, so a middle -0.0 gives 0.0. A column holding a NaN gives
+    NaN, and so does a column of no rows.
+    """
+    x = np.asarray(x)
+    n = x.shape[0]
+    if n == 0:
+        return np.full(x.shape[1:], np.nan)[()]
+    lo, hi = (n - 1) // 2, n // 2
+    part = np.partition(x, [hi, -1] if lo == hi else [lo, hi, -1], axis=0)
+    mid = 0.0 + part[lo]
+    if lo != hi:
+        mid += part[hi]
+        mid /= 2
+    top = part[-1]  # NaN sorts last
+    return np.where(np.isnan(top), top, mid)[()]
+
+
 def median_mad(x):
     """Per-column medians of x and median absolute deviations from them,
     each MAD clamped below at MAD_FLOOR. Returns (medians, mads)."""
-    medians = np.median(x, axis=0)
+    medians = median(x)
     deviations = x - medians
     np.abs(deviations, out=deviations)
-    return medians, np.maximum(np.median(deviations, axis=0), MAD_FLOOR)
+    return medians, np.maximum(median(deviations), MAD_FLOOR)
 
 
 def mad(values):

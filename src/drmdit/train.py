@@ -151,13 +151,14 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
     w = config.weights
 
     trace = autoenc.forward(params, x)
-    z, recon = trace.latent, trace.reconstruction
+    z = trace.latent
 
     if stats is None:
         stats = robust.robust_correlation(z, ridge_epsilon=config.ridge_epsilon)
     md_term, md_grad_z = _md_term_with_grad(z, stats)
 
-    resid = recon - x
+    resid = trace.reconstruction  # made the residual in place: backward does not read it
+    resid -= x
     recon_term = float(np.mean(resid * resid))
     resid *= 2.0  # the gradient beta * (2 * resid / size), in place
     resid /= resid.size
@@ -241,7 +242,7 @@ def _freeze(params, features, config):
               "euclidean_recon": errors}
     for mode, s in scores.items():
         detect._require_finite(s, f"training {mode}")
-    return stats, cstats, {mode: float(np.median(s)) for mode, s in scores.items()}
+    return stats, cstats, {mode: float(robust.median(s)) for mode, s in scores.items()}
 
 
 def fit(train_data, config: TrainConfig) -> TrainedModel:
@@ -334,7 +335,7 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
                 value = -np.inf
             else:
                 scored += 1
-                if labels is not None and len(np.unique(labels)) > 1:
+                if labels is not None and detect._both_classes(labels):
                     value = detect.auc(scores, labels,
                                        center=model.train_score_medians["robust_md"])
                 else:

@@ -82,6 +82,26 @@ def test_encode_is_forward_latent(activation):
         autoenc.encode(p, np.zeros((3, 5)))
 
 
+@pytest.mark.parametrize("activation", autoenc.ACTIVATIONS)
+def test_passes_leave_their_inputs_unchanged(activation):
+    # the activations are written over fresh pre-activations and backward's
+    # slopes into buffers of its own, never over an argument
+    rng = np.random.default_rng(28)
+    p = autoenc.init_params([6, 4, 3], activation=activation, seed=7)
+    arrays = [rng.normal(size=(5, 6)), rng.normal(size=(5, 3)),
+              rng.normal(size=(5, 3)), rng.normal(size=(5, 6))]
+    batch, latent, grad_latent, grad_recon = arrays
+    before = [a.copy() for a in arrays + p.weights + p.biases_enc + p.biases_dec]
+    autoenc.encode(p, batch)
+    autoenc.decode(p, latent)
+    trace = autoenc.forward(p, batch)
+    held = [a.copy() for a in trace.enc_act + trace.dec_act]
+    autoenc.backward(p, trace, grad_wrt_latent=grad_latent, grad_wrt_recon=grad_recon)
+    after = arrays + p.weights + p.biases_enc + p.biases_dec
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
+    assert all(np.array_equal(a, b) for a, b in zip(trace.enc_act + trace.dec_act, held))
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     p = autoenc.init_params([5, 3], seed=4)
     trace = autoenc.forward(p, np.random.default_rng(26).normal(size=(4, 5)))
@@ -103,9 +123,14 @@ def _loss_and_grads(params, batch):
     return loss, grads
 
 
-def test_backward_finite_difference_check():
+@pytest.mark.parametrize("activation", autoenc.ACTIVATIONS)
+def test_backward_finite_difference_check(activation):
     rng = np.random.default_rng(27)
-    params = autoenc.init_params([5, 3, 2], seed=5)
+    params = autoenc.init_params([5, 3, 2], activation=activation, seed=5)
+    # nonzero biases: with zero ones, a row that relu zeroes entirely puts
+    # the next layer's pre-activations exactly on the kink
+    for b in params.biases_enc + params.biases_dec:
+        b[:] = rng.normal(scale=0.1, size=b.size)
     batch = rng.normal(size=(6, 5))
     _, grads = _loss_and_grads(params, batch)
 
@@ -146,7 +171,7 @@ def test_backward_tied_weight_sum_rule():
     # decoder path: dec_act[1]^T @ delta; encoder path: (delta @ W^T scaled
     # by activation slope ~1) routed through d_pre^T @ x
     dec_term = trace.dec_act[1].T @ delta
-    slope = 1.0 - np.tanh(trace.enc_pre[0]) ** 2
+    slope = 1.0 - trace.enc_act[1] ** 2  # tanh' from the activation
     enc_term = ((delta @ p.weights[0].T) * slope).T @ x
     assert np.allclose(grads.weights[0], dec_term + enc_term, atol=1e-12)
 

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import drmdit
 from drmdit import data as data_mod
 from drmdit.cli import main
 
@@ -535,3 +538,47 @@ def test_json_inputs_with_a_byte_order_mark(runner, trained_checkpoint, synth_cs
         assert result.exit_code == 0, result.output
     assert ((tmp_path / "bom.trace.csv").read_bytes()
             == (tmp_path / "plain.trace.csv").read_bytes())
+
+
+# runs the CLI as python -m drmdit.cli does (no arguments: only imports
+# numpy), then reports whether numpy.ma was ever imported
+_MA_PROBE = """
+import sys
+if len(sys.argv) > 1:
+    import runpy
+    sys.argv[0] = "drmdit"
+    try:
+        runpy.run_module("drmdit.cli", run_name="__main__")
+    except SystemExit as exc:
+        assert not exc.code, exc.code
+else:
+    import numpy
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_train_and_eval_do_not_import_numpy_ma(synth_csv, tmp_path):
+    # np.median and np.unique import numpy.ma (about 15 ms and 1.3 MB);
+    # train and eval use neither, so they import it only where importing
+    # numpy does (numpy 1.x)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(drmdit.__file__)),
+         *filter(None, [env.get("PYTHONPATH")])])
+
+    def imports_numpy_ma(*args):
+        proc = subprocess.run([sys.executable, "-c", _MA_PROBE, *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 2, "batch_size": 64, "latent_dim": 2}))
+    model = tmp_path / "model.json"
+    with_numpy = imports_numpy_ma()
+    assert imports_numpy_ma(
+        "train", "--data", str(synth_csv), "--config", str(cfg),
+        "--features", _features_json(tmp_path), "--out", str(model)) == with_numpy
+    assert imports_numpy_ma(
+        "eval", "--model", str(model), "--data", str(synth_csv),
+        "--labels", "label", "--out", str(tmp_path / "run")) == with_numpy

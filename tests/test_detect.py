@@ -111,7 +111,7 @@ def test_fold_center_is_the_training_median_when_the_model_has_one(small_model,
     scores = np.array([0.5, 1.0, 4.0])
     expected = small_model.train_score_medians["classical_md"]
     with monkeypatch.context() as patch:
-        patch.setattr(detect.np, "median", no_median)
+        patch.setattr(detect.robust, "median", no_median)
         assert detect.fold_center(small_model, scores, "classical_md") == expected
     without = train.TrainedModel(
         params=small_model.params, robust_stats=small_model.robust_stats,

@@ -1,8 +1,50 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drmdit import robust
 from drmdit.errors import ParameterError
+
+
+def _assert_median_is_np_median(x):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 2 * 1e308
+        want = np.median(x, axis=0)
+        got = robust.median(x)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# ties and signed zeros among arbitrary finite and infinite values
+_MEDIAN_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                          st.floats(allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 9), k=st.integers(1, 3), nan_at=st.none() | st.integers(0, 8),
+       data=st.data())
+def test_median_is_np_median_byte_for_byte(n, k, nan_at, data):
+    x = np.array(data.draw(st.lists(_MEDIAN_CELLS, min_size=n * k, max_size=n * k)))
+    x = x.reshape(n, k)
+    if nan_at is not None:  # a NaN in the first column
+        x[nan_at % n, 0] = np.nan
+    _assert_median_is_np_median(x)
+    _assert_median_is_np_median(x[:, 0])  # 1-d, strided and contiguous
+    _assert_median_is_np_median(x[:, -1].copy())
+
+
+@pytest.mark.parametrize("column", [[-0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0],
+                                    [3.0, -0.0], [np.nan], [1.0, np.nan],
+                                    [2.0, 2.0, 1.0, 2.0]])
+def test_median_of_small_columns_is_np_median(column):
+    x = np.array(column)
+    _assert_median_is_np_median(x)
+    _assert_median_is_np_median(np.column_stack([x, x[::-1], np.arange(x.size)]))
+
+
+def test_median_of_no_rows_is_nan():
+    # as np.median gives, without its empty-slice warning
+    assert np.isnan(robust.median(np.empty(0)))
+    assert np.isnan(robust.median(np.empty((0, 3)))).tolist() == [True] * 3
 
 
 def test_mad_hand_case():

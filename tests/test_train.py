@@ -190,11 +190,14 @@ def test_joint_loss_workspace_is_bit_identical(m):
                 assert np.array_equal(a, b)
 
 
-def _joint_loss_peak(n, work=None):
-    """tracemalloc peak of a second joint_loss step on an n x 10 batch."""
-    x = np.random.default_rng(42).uniform(size=(n, 10))
-    cfg = train.TrainConfig(sigma=0.1, batch_size=n, latent_dim=10, hidden_dims=[])
-    params = autoenc.init_params(cfg.resolve_layer_dims(10), seed=5)
+def _joint_loss_peak(n, work=None, d=10, **config):
+    """tracemalloc peak of a second joint_loss step on an n x d batch;
+    config overrides fields of a one-layer 10-wide latent config."""
+    x = np.random.default_rng(42).uniform(size=(n, d))
+    cfg = train.TrainConfig(**{"sigma": 0.1, "latent_dim": 10, "hidden_dims": [],
+                               **config}, batch_size=n)
+    params = autoenc.init_params(cfg.resolve_layer_dims(d), activation=cfg.activation,
+                                 seed=5)
     train.joint_loss(params, x, cfg, work=work)  # first step: lazy imports, caches
     tracemalloc.start()
     try:
@@ -218,6 +221,17 @@ def test_joint_loss_memory_is_row_blocked():
     # N x N array (two of them are 64 MiB at N=2048)
     n = 2048
     assert _joint_loss_peak(n) < n * n * 8
+
+
+@pytest.mark.parametrize("activation", autoenc.ACTIVATIONS)
+def test_joint_loss_working_set_at_the_one_hot_width(activation):
+    # N=1024, d=122, the default 122 -> 61 -> 8 net: the step holds the
+    # activations (no pre-activations beside them), the residual written
+    # over the reconstruction and the MI's lifted input rows
+    n, d = 1024, 122
+    peak = _joint_loss_peak(n, itl.mi_workspace([n]), d=d, sigma=0.9, latent_dim=8,
+                            hidden_dims=None, activation=activation)
+    assert peak < 5.5 * n * d * 8
 
 
 def test_fit_reuses_workspace_across_batch_sizes(monkeypatch):
