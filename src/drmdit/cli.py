@@ -136,11 +136,12 @@ def main():
               help="JSON {columns, label_column, normal_values}")
 @click.option("--config", "config_json", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", default=42, show_default=True)
+@click.option("--seed", type=int, default=None, help="[default: --config's seed, else 42]")
 def cli_train(data_path, features_json, config_json, out_path, seed):
     """Train on normal data and write a JSON checkpoint."""
     try:
-        doc = {"seed": seed, **_read_json(config_json, "--config")}
+        doc = _read_json(config_json, "--config")
+        doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
         config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
         config.validate()  # before the CSV is read
         dataset = _training_set(data_path, features_json)
@@ -163,13 +164,9 @@ def cli_score(model_path, data_path, features_json, mode, out_prefix):
         model = train_mod.load_checkpoint(model_path)
         with _scoring_rows(model, data_path, features_json) as rows:
             scores = detect.score(model, rows, mode=mode)
-        center = detect.fold_center(model, scores, mode)
         report = detect.ScoreReport(
-            scores=scores, transformed_scores=detect.fold_scores(scores, center),
-            predictions=np.zeros(scores.size, dtype=np.int64),
-            tags=["-"] * scores.size, band=None,
-            scoring_mode=mode, labels=rows.labels,
-        )
+            scores=scores, center=detect.fold_center(model, scores, mode), band=None,
+            scoring_mode=mode, labels=rows.labels)
         paths = detect.emit_report(report, out_prefix)
         click.echo("wrote " + " and ".join(paths))
     except Exception as exc:  # noqa: BLE001
@@ -261,12 +258,13 @@ def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
 @main.command("synth")
 @click.option("--spec", "spec_json", type=click.Path(), default=None,
               help="JSON with SynthSpec fields; defaults used when absent")
-@click.option("--seed", default=42, show_default=True)
+@click.option("--seed", type=int, default=None, help="[default: --spec's seed, else 42]")
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cli_synth(spec_json, seed, out_path):
     """Generate the synthetic near/far benchmark as CSV."""
     try:
-        doc = {"seed": seed, **_read_json(spec_json, "--spec")}
+        doc = _read_json(spec_json, "--spec")
+        doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
         spec = data_mod.dataclass_from_dict(data_mod.SynthSpec, doc, "--spec")
         dataset = data_mod.synth_generate(spec)
         data_mod.save_csv(dataset, out_path)

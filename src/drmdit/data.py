@@ -8,6 +8,7 @@ with source rows.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import itertools
@@ -242,6 +243,10 @@ def _header(fh, path, label_column, columns, normal_values):
         feature_names = list(columns)
     if label_column is not None and label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
+    counts = collections.Counter(header)
+    repeated = sorted({c for c in [*feature_names, label_column] if counts[c] > 1})
+    if repeated:
+        raise DataError(f"{path}: selected columns {repeated} occur more than once in the header")
     feat_idx = [header.index(c) for c in feature_names]
     label_idx = header.index(label_column) if label_column else None
     layout = _Layout(len(header) - 1, feat_idx, label_idx, frozenset(normal_values),

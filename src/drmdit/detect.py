@@ -8,7 +8,6 @@ equality counts as normal.
 from __future__ import annotations
 
 import collections.abc
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .errors import DegeneracyError, ParameterError
 
 SCORING_MODES = ("robust_md", "classical_md", "euclidean_recon")
 _SCORE_BLOCK = 4096  # rows scored at a time, however they arrive
-_TRACE_BLOCK = 1024  # trace rows converted, joined and written at a time
+_TRACE_BLOCK = 1024  # trace rows derived, converted and written at a time
 _TAGS = np.array(["normal", "near", "far"], dtype=object)  # classify's tags by code
 
 
@@ -39,13 +38,16 @@ class ScoreBand:
 @dataclass
 class ScoreReport:
     scores: np.ndarray
-    transformed_scores: np.ndarray
-    predictions: np.ndarray
-    tags: list
+    center: float  # the trace's transformed scores are |score - center|
     band: ScoreBand | None  # None: scored without a band (cli score)
     scoring_mode: str
     labels: np.ndarray | None = None
     metrics: dict | None = None
+
+    @property
+    def predictions(self):
+        """classify's predictions, without its tags."""
+        return _predictions(self.scores, self.band)
 
 
 def score(model, data, mode="robust_md"):
@@ -147,16 +149,25 @@ def _recon_errors(params, rows, latent):
     return resid.mean(axis=1)
 
 
-def classify(scores, band: ScoreBand):
+def classify(scores, band: ScoreBand | None):
     """Apply the two-sided band. Returns (predictions, tags); tags is a
-    list holding one of the three shared strings of _TAGS per row."""
+    list holding one of the three shared strings of _TAGS per row. Without
+    a band (None) every row is 0 and "-"."""
     s = np.asarray(scores, dtype=np.float64)
-    near = s < band.low
-    far = s > band.high
-    predictions = (near | far).astype(np.int64)
-    codes = near.astype(np.int8)
-    codes[far] = 2
+    predictions = _predictions(s, band)
+    if band is None:
+        return predictions, ["-"] * s.size
+    codes = predictions.astype(np.int8)
+    codes[s > band.high] = 2
     return predictions, _TAGS.take(codes).tolist()
+
+
+def _predictions(s, band):
+    """1 for each of the float64 scores s outside band, else 0; all 0
+    without a band."""
+    if band is None:
+        return np.zeros(s.size, dtype=np.int64)
+    return ((s < band.low) | (s > band.high)).astype(np.int64)
 
 
 def metrics(predictions, labels):
@@ -327,26 +338,19 @@ def evaluate(model, data, mode="robust_md", band=None) -> ScoreReport:
         if labels is None:
             raise ParameterError("auto band selection requires labels")
         band = select_band(s, labels)
-    center = fold_center(model, s, mode)
-    # before the report's columns exist: not in the peak of its sort
-    area = (auc(s, labels, center=center)
-            if labels is not None and _both_classes(labels) else None)
-    predictions, tags = classify(s, band)
-    report = ScoreReport(
-        scores=s, transformed_scores=fold_scores(s, center),
-        predictions=predictions, tags=tags, band=band,
-        scoring_mode=mode, labels=labels,
-    )
+    report = ScoreReport(scores=s, center=fold_center(model, s, mode), band=band,
+                         scoring_mode=mode, labels=labels)
     if labels is not None:
-        report.metrics = metrics(predictions, labels)
-        if area is not None:
-            report.metrics["auc"] = area
+        report.metrics = metrics(report.predictions, labels)
+        if _both_classes(labels):
+            report.metrics["auc"] = auc(s, labels, center=report.center)
     return report
 
 
 def emit_report(report: ScoreReport, path_prefix):
     """Write {prefix}.report.json, the run's summary, and {prefix}.trace.csv,
-    one plot-ready line per scored row. A write failure is a DataError."""
+    one plot-ready line per scored row, whose transformed score, prediction
+    and tag are derived as it is written. A write failure is a DataError."""
     doc = {
         "scoring_mode": report.scoring_mode,
         "band": None if report.band is None else {"low": report.band.low,
@@ -359,28 +363,19 @@ def emit_report(report: ScoreReport, path_prefix):
     with open_output(report_path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    header = ["index", "score", "transformed_score"]
-    columns = [map(str, range(report.scores.size)),
-               map(repr, _python_values(report.scores, np.float64)),
-               map(repr, _python_values(report.transformed_scores, np.float64))]
-    if report.labels is not None:
-        header.append("label")
-        columns.append(map(str, _python_values(report.labels, np.int64)))
-    header += ["prediction", "tag"]
-    columns += [map(str, _python_values(report.predictions, np.int64)), report.tags]
-    rows = zip(*columns)
+    labels = None if report.labels is None else np.asarray(report.labels, dtype=np.int64)
+    header = "index,score,transformed_score" + ("" if labels is None else ",label")
     with open_output(trace_path) as fh:
-        fh.write(",".join(header) + "\n")
-        while block := list(itertools.islice(rows, _TRACE_BLOCK)):
-            fh.write("\n".join(map(",".join, block)))
+        fh.write(header + ",prediction,tag\n")
+        for start in range(0, report.scores.size, _TRACE_BLOCK):
+            block = report.scores[start:start + _TRACE_BLOCK]
+            predictions, tags = classify(block, report.band)
+            columns = [map(str, range(start, start + block.size)),
+                       map(repr, block.tolist()),
+                       map(repr, fold_scores(block, report.center).tolist())]
+            if labels is not None:
+                columns.append(map(str, labels[start:start + block.size].tolist()))
+            columns += [map(str, predictions.tolist()), tags]
+            fh.write("\n".join(map(",".join, zip(*columns))))
             fh.write("\n")
     return report_path, trace_path
-
-
-def _python_values(column, dtype):
-    """The values of column as Python numbers, converted _TRACE_BLOCK at a
-    time."""
-    values = np.asarray(column, dtype=dtype)
-    return itertools.chain.from_iterable(
-        values[start:start + _TRACE_BLOCK].tolist()
-        for start in range(0, values.size, _TRACE_BLOCK))

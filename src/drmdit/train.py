@@ -136,10 +136,9 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
 
     stats / input_gram_norm default to quantities computed from this batch;
     passing them in pins the loss to a frozen snapshot (used by the
-    finite-difference checks and by epoch-0 evaluation). work, when given,
-    is the pair of MI row-block buffers of itl.mi_workspace; the result is
-    the same as without it. config is not validated here: fit does that
-    once.
+    finite-difference checks). work, when given, is the pair of MI
+    row-block buffers of itl.mi_workspace; the result is the same as
+    without it. config is not validated here: fit does that once.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.shape[0] < 2:

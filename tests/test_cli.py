@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ def test_synth_deterministic(runner, tmp_path):
     assert runner.invoke(main, ["synth", "--seed", "3", "--out", str(a)]).exit_code == 0
     assert runner.invoke(main, ["synth", "--seed", "3", "--out", str(b)]).exit_code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_seed_flag_beats_a_seed_in_the_config_or_spec(runner, synth_csv, tmp_path):
+    # was: a "seed" key in --config/--spec beat --seed
+    def run(command, flag, doc, *seed):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{command}.out"
+        extra = ["--data", str(synth_csv)] if command == "train" else []
+        result = runner.invoke(main, [command, *extra, flag, str(path), *seed,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    for command, flag, doc in (
+            ("train", "--config", {"epochs": 1, "batch_size": 64, "latent_dim": 2}),
+            ("synth", "--spec", {"n_normal": 30, "n_near": 3, "n_far": 3, "d": 3})):
+        given = run(command, flag, {**doc, "seed": 5}, "--seed", "7")
+        assert given == run(command, flag, doc, "--seed", "7")
+        assert given != run(command, flag, doc, "--seed", "5")
+        assert run(command, flag, {**doc, "seed": 5}) == run(command, flag, doc, "--seed", "5")
+        assert run(command, flag, doc) == run(command, flag, doc, "--seed", "42")
 
 
 def test_train_writes_checkpoint(trained_checkpoint):
@@ -154,6 +177,35 @@ def test_train_without_features_takes_the_label_column(runner, synth_csv, tmp_pa
     assert result.exit_code == 0, result.output
     assert "training on 300 normal rows (dropped 80 labeled anomalies)" in result.output
     assert json.loads(out.read_text())["feature_names"] == ["f0", "f1", "f2", "f3"]
+
+
+def _repeat_first_name(csv_path, out):
+    """csv_path (synth's f0..f3,label,tag) with its tag column named f0."""
+    header, rest = csv_path.read_text().split("\n", 1)
+    assert header.endswith(",tag"), header
+    out.write_text(header[:-len("tag")] + "f0\n" + rest)
+    return str(out)
+
+
+def test_train_on_a_repeated_header_name_exits_3(runner, synth_csv, tmp_path):
+    # was: exit 0, training on five features, the first f0 read twice
+    result = runner.invoke(main, [
+        "train", "--data", _repeat_first_name(synth_csv, tmp_path / "dup.csv"),
+        "--out", str(tmp_path / "m.json")])
+    assert result.exit_code == 3, result.output
+    assert "['f0'] occur more than once in the header" in result.output
+
+
+@pytest.mark.parametrize("command, extra", [("score", []), ("eval", ["--labels", "label"])])
+def test_score_on_a_repeated_header_name_exits_3(runner, trained_checkpoint, synth_csv,
+                                                 tmp_path, command, extra):
+    # was: exit 0, reading the checkpoint's f0 from the first of the two
+    result = runner.invoke(main, [
+        command, "--model", str(trained_checkpoint),
+        "--data", _repeat_first_name(synth_csv, tmp_path / "dup.csv"), *extra,
+        "--out", str(tmp_path / command)])
+    assert result.exit_code == 3, result.output
+    assert "['f0'] occur more than once in the header" in result.output
 
 
 def test_score_shape_mismatched_checkpoint_exits_2(runner, trained_checkpoint,
@@ -522,7 +574,7 @@ def test_json_inputs_with_a_byte_order_mark(runner, trained_checkpoint, synth_cs
     # was: exit 2, "is not valid JSON: Unexpected UTF-8 BOM"
     def with_bom(path):
         marked = tmp_path / f"bom-{os.path.basename(path)}"
-        marked.write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
         return str(marked)
 
     cfg = tmp_path / "cfg.json"  # written by the trained_checkpoint fixture

@@ -68,6 +68,20 @@ def test_load_csv_errors(tmp_path):
         data.load_csv(no_rows)
 
 
+def test_load_csv_repeated_header_names(tmp_path):
+    # was: the second "a" read the first one's values, [1, 1, 100]
+    p = tmp_path / "in.csv"
+    p.write_text("a,a,b,y\n1,10,100,0\n2,20,200,1\n")
+    for kwargs in ({}, {"columns": ["a", "b"]}, {"columns": ["b"], "label_column": "a"}):
+        with pytest.raises(DataError, match=r"\['a'\] occur more than once"):
+            data.load_csv(p, **kwargs)
+    # a repeated name outside the selection, one column selected twice
+    fm, _ = data.load_csv(p, columns=["b", "y", "b"])
+    assert fm.features.tolist() == [[100.0, 0.0, 100.0], [200.0, 1.0, 200.0]]
+    fm, _ = data.load_csv(p, columns=["b"], label_column="y")
+    assert fm.features.tolist() == [[100.0], [200.0]] and fm.labels.tolist() == [0, 1]
+
+
 def _reference_load_csv(path, label_column=None, columns=None,
                         normal_values=data.DEFAULT_NORMAL_VALUES):
     """The row-at-a-time csv.reader loader that load_csv replaces: the

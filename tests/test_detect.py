@@ -342,8 +342,8 @@ def test_score_of_a_small_array_copies_no_block():
 
 
 def test_evaluate_of_a_chunk_stream_holds_few_bytes_a_row(small_model):
-    # scores, labels and the report's columns, with the band search and the
-    # AUC run before those columns exist: about 50 bytes a row
+    # scores and labels, with the band search, the metrics and the AUC each
+    # run alone: about 50 bytes a row
     n = 40_000
     rng = np.random.default_rng(60)
     x = rng.normal(size=(n, 4))
@@ -361,6 +361,31 @@ def test_evaluate_of_a_chunk_stream_holds_few_bytes_a_row(small_model):
 
     run()  # first call: lazy imports, caches
     assert _peak_bytes(run) < 64 * n
+
+
+def test_the_report_evaluate_returns_holds_only_its_scores(small_model):
+    # beyond the labels it is given, the report holds its 8-byte scores and
+    # no column derived from them: the trace's transformed scores,
+    # predictions and tags are derived as it is written
+    n = 40_000
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(n, 4))
+    labels = (rng.uniform(size=n) < 0.1).astype(np.int64)
+    x[labels == 1] *= 3.0
+
+    class D:
+        features = x
+
+    D.labels = labels
+    detect.evaluate(small_model, D)  # first call: lazy imports, caches
+    tracemalloc.start()
+    try:
+        report = detect.evaluate(small_model, D, mode="robust_md")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.labels is labels and report.metrics["auc"] > 0.5
+    assert held / n <= 10
 
 
 def test_evaluate_and_emit_report(small_model, tmp_path):
@@ -397,13 +422,8 @@ def test_evaluate_and_emit_report(small_model, tmp_path):
 
 def test_emit_report_unlabeled_omits_label_column(tmp_path):
     report = detect.ScoreReport(
-        scores=np.array([0.1, 0.2, 0.3]),
-        transformed_scores=np.array([0.0, 0.1, 0.2]),
-        predictions=np.array([0, 0, 1]),
-        tags=["normal", "normal", "far"],
-        band=detect.ScoreBand(0.05, 0.25),
-        scoring_mode="robust_md",
-    )
+        scores=np.array([0.1, 0.2, 0.3]), center=0.1,
+        band=detect.ScoreBand(0.05, 0.25), scoring_mode="robust_md")
     _, tp = detect.emit_report(report, tmp_path / "u")
     with open(tp) as fh:
         lines = fh.read().strip().split("\n")
@@ -419,19 +439,16 @@ def _bytes(path):
 def test_emit_report_trace_is_one_line_per_row(tmp_path):
     scores = np.array([0.1, 2.0 / 3.0, 1e-300])
     report = detect.ScoreReport(
-        scores=scores, transformed_scores=np.abs(scores - 0.5),
-        predictions=np.array([0, 1, 1]), tags=["normal", "far", "near"],
-        band=None, scoring_mode="robust_md", labels=np.array([0, 1, 1]))
+        scores=scores, center=0.5, band=detect.ScoreBand(0.05, 0.5),
+        scoring_mode="robust_md", labels=np.array([0, 1, 1]))
     _, tp = detect.emit_report(report, tmp_path / "t")
     rows = [",".join([str(i), repr(float(s)), repr(float(abs(s - 0.5))), str(y), str(p), t])
             for i, (s, y, p, t) in enumerate(zip(scores, [0, 1, 1], [0, 1, 1],
                                                  ["normal", "far", "near"]))]
     header = "index,score,transformed_score,label,prediction,tag"
     assert _bytes(tp) == "".join(line + "\n" for line in [header, *rows]).encode()
-    empty = detect.ScoreReport(
-        scores=np.array([]), transformed_scores=np.array([]),
-        predictions=np.array([], dtype=np.int64), tags=[], band=None,
-        scoring_mode="robust_md")
+    empty = detect.ScoreReport(scores=np.array([]), center=0.5, band=None,
+                               scoring_mode="robust_md")
     _, tp = detect.emit_report(empty, tmp_path / "e")
     assert _bytes(tp) == b"index,score,transformed_score,prediction,tag\n"
 
@@ -439,11 +456,8 @@ def test_emit_report_trace_is_one_line_per_row(tmp_path):
 def _trace_report(n):
     scores = np.random.default_rng(n).random(n)
     return detect.ScoreReport(
-        scores=scores, transformed_scores=np.abs(scores - 0.5),
-        predictions=(scores > 0.9).astype(np.int64),
-        tags=["far" if s > 0.9 else "normal" for s in scores.tolist()],
-        band=None, scoring_mode="robust_md",
-        labels=(scores > 0.8).astype(np.int64))
+        scores=scores, center=0.5, band=detect.ScoreBand(0.0, 0.9),
+        scoring_mode="robust_md", labels=(scores > 0.8).astype(np.int64))
 
 
 @pytest.mark.parametrize("n", [1, 4, 5])
