@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -26,12 +27,18 @@ EXIT_CODES = {
 }
 
 
-def _fail(exc):
-    click.echo(f"error: {exc}", err=True)
-    for klass, code in EXIT_CODES.items():
-        if isinstance(exc, klass):
-            sys.exit(code)
-    sys.exit(1)
+def _exit_codes(command):
+    """The single funnel to exit codes: an exception ends command with
+    "error: ..." and its EXIT_CODES code, or 1 for any other exception."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next((code for klass, code in EXIT_CODES.items()
+                           if isinstance(exc, klass)), 1))
+    return run
 
 
 def _read_json(path, what):
@@ -137,18 +144,16 @@ def main():
 @click.option("--config", "config_json", type=click.Path(), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="[default: --config's seed, else 42]")
+@_exit_codes
 def cli_train(data_path, features_json, config_json, out_path, seed):
     """Train on normal data and write a JSON checkpoint."""
-    try:
-        doc = _read_json(config_json, "--config")
-        doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
-        config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
-        config.validate()  # before the CSV is read
-        dataset = _training_set(data_path, features_json)
-        train_mod.save_checkpoint(train_mod.fit(dataset, config), out_path)
-        click.echo(f"wrote {out_path}")
-    except Exception as exc:  # noqa: BLE001 - single funnel to exit codes
-        _fail(exc)
+    doc = _read_json(config_json, "--config")
+    doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
+    config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
+    config.validate()  # before the CSV is read
+    dataset = _training_set(data_path, features_json)
+    train_mod.save_checkpoint(train_mod.fit(dataset, config), out_path)
+    click.echo(f"wrote {out_path}")
 
 
 @main.command("score")
@@ -158,19 +163,17 @@ def cli_train(data_path, features_json, config_json, out_path, seed):
 @click.option("--mode", type=click.Choice(detect.SCORING_MODES),
               default="robust_md", show_default=True)
 @click.option("--out", "out_prefix", required=True)
+@_exit_codes
 def cli_score(model_path, data_path, features_json, mode, out_prefix):
     """Score data against a checkpoint; write trace and report files."""
-    try:
-        model = train_mod.load_checkpoint(model_path)
-        with _scoring_rows(model, data_path, features_json) as rows:
-            scores = detect.score(model, rows, mode=mode)
-        report = detect.ScoreReport(
-            scores=scores, center=detect.fold_center(model, scores, mode), band=None,
-            scoring_mode=mode, labels=rows.labels)
-        paths = detect.emit_report(report, out_prefix)
-        click.echo("wrote " + " and ".join(paths))
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    model = train_mod.load_checkpoint(model_path)
+    with _scoring_rows(model, data_path, features_json) as rows:
+        scores = detect.score(model, rows, mode=mode)
+    report = detect.ScoreReport(
+        scores=scores, center=detect.fold_center(model, scores, mode), band=None,
+        scoring_mode=mode, labels=rows.labels)
+    paths = detect.emit_report(report, out_prefix)
+    click.echo("wrote " + " and ".join(paths))
 
 
 @main.command("eval")
@@ -184,31 +187,29 @@ def cli_score(model_path, data_path, features_json, mode, out_prefix):
 @click.option("--band", default="auto", show_default=True,
               help="'auto' or explicit 'low,high'")
 @click.option("--out", "out_prefix", required=True)
+@_exit_codes
 def cli_eval(model_path, data_path, features_json, label_column, mode, band,
              out_prefix):
     """Band-classify labeled data and report metrics."""
-    try:
-        model = train_mod.load_checkpoint(model_path)
-        with _scoring_rows(model, data_path, features_json,
-                           label_column=label_column) as rows:
-            if not rows.labeled:
-                raise ParameterError(f"label column {label_column!r} not found")
-            if band == "auto":
-                band_obj = None
-            else:
-                try:
-                    low, high = (float(v) for v in band.split(","))
-                except ValueError:
-                    raise ParameterError(
-                        f"--band must be 'auto' or 'low,high', got {band!r}"
-                    ) from None
-                band_obj = detect.ScoreBand(low=low, high=high)
-            report = detect.evaluate(model, rows, mode=mode, band=band_obj)
-        paths = detect.emit_report(report, out_prefix)
-        click.echo(json.dumps(report.metrics, indent=1, sort_keys=True))
-        click.echo("wrote " + " and ".join(paths))
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    model = train_mod.load_checkpoint(model_path)
+    with _scoring_rows(model, data_path, features_json,
+                       label_column=label_column) as rows:
+        if not rows.labeled:
+            raise ParameterError(f"label column {label_column!r} not found")
+        if band == "auto":
+            band_obj = None
+        else:
+            try:
+                low, high = (float(v) for v in band.split(","))
+            except ValueError:
+                raise ParameterError(
+                    f"--band must be 'auto' or 'low,high', got {band!r}"
+                ) from None
+            band_obj = detect.ScoreBand(low=low, high=high)
+        report = detect.evaluate(model, rows, mode=mode, band=band_obj)
+    paths = detect.emit_report(report, out_prefix)
+    click.echo(json.dumps(report.metrics, indent=1, sort_keys=True))
+    click.echo("wrote " + " and ".join(paths))
 
 
 @main.command("sweep")
@@ -219,40 +220,39 @@ def cli_eval(model_path, data_path, features_json, label_column, mode, band,
 @click.option("--epochs", default=10, show_default=True)
 @click.option("--seed", default=42, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_exit_codes
 def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
     """Grid-search sigma (and the default weight grid) on a labeled CSV."""
     try:
-        try:
-            sigmas = [float(v) for v in sigma_list.split(",") if v]
-        except ValueError:
-            raise ParameterError(
-                f"--sigma must be comma-separated numbers, got {sigma_list!r}"
-            ) from None
-        dataset = _load_dataset(data_path, features_json)
-        train_rows, val_rows, _ = data_mod.split_rows(dataset, 0.6, seed=seed)
-        trainset, valset = dataset.take(train_rows), dataset.take(val_rows)
-        del dataset  # freed with the test split, which sweep does not use
-        if trainset.labels is not None:
-            trainset.keep_rows(trainset.labels == 0)
-        trainset.normalization = data_mod.fit_minmax(trainset)
-        for part in (trainset, valset):
-            data_mod.minmax_rows(part.features, trainset.normalization, out=part.features)
-        base = train_mod.TrainConfig(seed=seed)
-        base.batch_size = min(base.batch_size, trainset.n_rows)
-        weight_grid = [train_mod.LossWeights()]
-        best, table = train_mod.grid_search(trainset, valset, sigmas,
-                                           weight_grid, base_config=base,
-                                           epochs=epochs)
-        with data_mod.open_output(out_path) as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["sigma", "alpha", "beta", "gamma", "score"],
-                lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(table)
-        click.echo(f"best sigma {best.sigma} (alpha={best.weights.alpha}, "
-                   f"beta={best.weights.beta}); table in {out_path}")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+        sigmas = [float(v) for v in sigma_list.split(",") if v]
+    except ValueError:
+        raise ParameterError(
+            f"--sigma must be comma-separated numbers, got {sigma_list!r}"
+        ) from None
+    base = train_mod.TrainConfig(seed=seed, epochs=epochs)
+    base.validate()  # before the CSV is read
+    dataset = _load_dataset(data_path, features_json)
+    train_rows, val_rows, _ = data_mod.split_rows(dataset, 0.6, seed=seed)
+    trainset, valset = dataset.take(train_rows), dataset.take(val_rows)
+    del dataset  # freed with the test split, which sweep does not use
+    if trainset.labels is not None:
+        trainset.keep_rows(trainset.labels == 0)
+    trainset.normalization = data_mod.fit_minmax(trainset)
+    for part in (trainset, valset):
+        data_mod.minmax_rows(part.features, trainset.normalization, out=part.features)
+    base.batch_size = min(base.batch_size, trainset.n_rows)
+    weight_grid = [train_mod.LossWeights()]
+    best, table = train_mod.grid_search(trainset, valset, sigmas,
+                                       weight_grid, base_config=base,
+                                       epochs=epochs)
+    with data_mod.open_output(out_path) as fh:
+        writer = csv.DictWriter(
+            fh, fieldnames=["sigma", "alpha", "beta", "gamma", "score"],
+            lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(table)
+    click.echo(f"best sigma {best.sigma} (alpha={best.weights.alpha}, "
+               f"beta={best.weights.beta}); table in {out_path}")
 
 
 @main.command("synth")
@@ -260,17 +260,15 @@ def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
               help="JSON with SynthSpec fields; defaults used when absent")
 @click.option("--seed", type=int, default=None, help="[default: --spec's seed, else 42]")
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_exit_codes
 def cli_synth(spec_json, seed, out_path):
     """Generate the synthetic near/far benchmark as CSV."""
-    try:
-        doc = _read_json(spec_json, "--spec")
-        doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
-        spec = data_mod.dataclass_from_dict(data_mod.SynthSpec, doc, "--spec")
-        dataset = data_mod.synth_generate(spec)
-        data_mod.save_csv(dataset, out_path)
-        click.echo(f"wrote {out_path} ({dataset.n_rows} rows)")
-    except Exception as exc:  # noqa: BLE001
-        _fail(exc)
+    doc = _read_json(spec_json, "--spec")
+    doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
+    spec = data_mod.dataclass_from_dict(data_mod.SynthSpec, doc, "--spec")
+    dataset = data_mod.synth_generate(spec)
+    data_mod.save_csv(dataset, out_path)
+    click.echo(f"wrote {out_path} ({dataset.n_rows} rows)")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import os
-import re
 import string
 import types
 import typing
@@ -103,8 +102,8 @@ def load_csv(path, label_column=None, columns=None,
     so numpy itself rejects a line with another field count. When it
     rejects the chunk, or skips a blank line, the lines with the header's
     field count and no letter that no float literal holds inside a selected
-    field go to one more np.loadtxt call; a line numpy still rejects, and
-    every other line, is read by the per-row rule (_row_values). From the
+    field go to one more np.loadtxt call and the others to the per-row rule
+    (_row_values); all go to the rule when numpy rejects that call. From the
     first chunk holding a quote (a field may span lines) or a control
     character numpy reads differently from float(), the rest of the file
     goes through csv.reader and the per-row rule, in batches of _RULE_ROWS
@@ -128,7 +127,6 @@ _RULE_ROWS = 256  # csv.reader rows per batch once a chunk holds a quote
 # strips \x1c-\x1f as whitespace, where csv and float() do not
 _LINE_SPLIT_UNSAFE = '"\x00\x1c\x1d\x1e\x1f'
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
-_NUMPY_ROW = re.compile(r"\bat row (\d+)")
 # ASCII letters no float literal holds: float() and np.loadtxt read only
 # e/E and the letters of nan, inf and infinity, in either case
 _ALIEN_LETTERS = "".join(c for c in string.ascii_letters if c.lower() not in "aefinty")
@@ -303,25 +301,24 @@ def _row_values(raw, layout):
     return vals, label not in layout.normal
 
 
+def _rule_values(rows, n, layout):
+    """The per-row rule on n csv.reader rows: (features, is_anomaly), with
+    a NaN row where the rule drops the row."""
+    values = np.full((n, len(layout.feat_idx)), np.nan)
+    anomalous = np.zeros(n, dtype=np.int64)
+    for i, raw in enumerate(rows):
+        row = _row_values(raw, layout)
+        if row is not None:
+            values[i], anomalous[i] = row
+    return values, anomalous
+
+
 def _rule_rows(reader, layout):
     """The rows of a csv.reader by the per-row rule, _RULE_ROWS rows at a
     time: (features, is_anomaly, dropped) of each batch's kept rows."""
-    while True:
-        rows, anomalous, dropped, seen = [], [], 0, 0
-        for raw in itertools.islice(reader, _RULE_ROWS):
-            seen += 1
-            if not raw:
-                continue
-            row = _row_values(raw, layout)
-            if row is None:
-                dropped += 1
-            else:
-                rows.append(row[0])
-                anomalous.append(row[1])
-        if not seen:
-            return
-        yield (np.array(rows, dtype=np.float64).reshape(len(rows), len(layout.feat_idx)),
-               np.array(anomalous, dtype=np.int64), dropped)
+    for batch in iter(lambda: list(itertools.islice(reader, _RULE_ROWS)), []):
+        rows = [raw for raw in batch if raw]  # a blank line is no row
+        yield _kept(*_rule_values(rows, len(rows), layout))
 
 
 def _parse_lines(lines, text, layout):
@@ -332,55 +329,57 @@ def _parse_lines(lines, text, layout):
     accepts every line. Otherwise (a line with another field count, a text
     cell, a blank line numpy skipped) _parse_irregular reads it. Rows with
     a NaN or an infinite value are dropped."""
-    if not text.isspace():  # numpy warns on a chunk of blank lines
-        try:
-            records = _loadtxt(lines, layout.record)
-        except ValueError:
-            records = None
-        if records is not None and records.shape[0] == len(lines):
-            values, anomalous = _fields(records, layout)
-            values, anomalous, kept = _kept(values, anomalous,
-                                            np.isfinite(values).all(axis=1))
-            return values, anomalous, len(lines) - kept
-    return _parse_irregular(lines, text, layout)
+    # np.loadtxt warns on a chunk of blank lines
+    parsed = None if text.isspace() else _numpy_fields(lines, layout)
+    return _parse_irregular(lines, text, layout) if parsed is None else _kept(*parsed)
 
 
 def _parse_irregular(lines, text, layout):
     """_parse_lines for a chunk numpy rejects or that holds a blank line.
-    Lines with the header's comma count and no _suspects letter go through
-    _loadtxt_rows; the rest, and the lines it rejects, through csv.reader
-    and the per-row rule. Rows the rule drops stay NaN, so one finite mask
-    drops them with the NaN/inf rows numpy parsed."""
+    Lines with the header's comma count and no _suspects letter go to one
+    more np.loadtxt call; the other non-blank lines go through csv.reader
+    and the per-row rule, and so does every non-blank line when numpy
+    rejects that call too (a "fan" cell, "1_000", a non-ASCII digit).
+    The rows the rule drops stay NaN, so one finite mask drops them with
+    the NaN/inf rows numpy parsed."""
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
     blank = np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
     values = np.full((n, len(layout.feat_idx)), np.nan)
     anomalous = np.zeros(n, dtype=np.int64)
     parsed = (commas == layout.n_commas) & ~blank & ~_suspects(lines, text, layout)
-    rows = np.flatnonzero(parsed)
-    rejected = _loadtxt_rows(_pick(lines, rows), layout, values, anomalous, rows)
-    parsed[rows[rejected]] = False
-    for i in np.flatnonzero(~blank & ~parsed).tolist():
-        row = _row_values(next(csv.reader([lines[i]])), layout)
-        if row is not None:
-            values[i], anomalous[i] = row
-    keep = ~blank & np.isfinite(values).all(axis=1)
-    values, anomalous, kept = _kept(values, anomalous, keep)
-    return values, anomalous, int(n - blank.sum() - kept)
+    if parsed.any():
+        fields = _numpy_fields(list(itertools.compress(lines, parsed.tolist())), layout)
+        if fields is None:
+            parsed[:] = False
+        else:
+            values[parsed], anomalous[parsed] = fields
+    rule = ~blank & ~parsed
+    values[rule], anomalous[rule] = _rule_values(
+        csv.reader(itertools.compress(lines, rule.tolist())), int(rule.sum()), layout)
+    if blank.any():  # a blank line is no row
+        values, anomalous = values[~blank], anomalous[~blank]
+    return _kept(values, anomalous)
 
 
-def _kept(values, anomalous, keep):
-    """The rows of values and anomalous where the mask keep holds, and
-    their count."""
+def _kept(values, anomalous):
+    """(values, anomalous, dropped): the rows of values and anomalous whose
+    values are all finite, and the count of the other rows."""
+    keep = np.isfinite(values).all(axis=1)
     kept = int(np.count_nonzero(keep))
     if kept < keep.size:
         values, anomalous = values[keep], anomalous[keep]
-    return values, anomalous, kept
+    return values, anomalous, keep.size - kept
 
 
-def _pick(lines, rows):
-    """lines[rows] for a sorted index array; lines itself when it is all."""
-    return lines if rows.size == len(lines) else [lines[i] for i in rows.tolist()]
+def _numpy_fields(lines, layout):
+    """_fields of the lines when one np.loadtxt call reads each line as a
+    row, else None."""
+    try:
+        records = _loadtxt(lines, layout.record)
+    except ValueError:
+        return None
+    return _fields(records, layout) if records.shape[0] == len(lines) else None
 
 
 def _suspects(lines, text, layout):
@@ -411,45 +410,6 @@ def _find_all(text, char):
     while at >= 0:
         yield at
         at = text.find(char, at + 1)
-
-
-def _loadtxt_rows(lines, layout, values, anomalous, rows):
-    """Parse lines with np.loadtxt into values[rows] and anomalous[rows].
-    Returns the positions in lines that numpy rejected; their rows are
-    left as they were.
-
-    One call parses them all when numpy accepts them. Its ValueError names
-    the bad row ("... at row 1, column 2"), so parsing resumes after it;
-    this finds what _suspects misses (a "fan" cell, "1_000", a non-ASCII
-    letter). Without a row number, or when the rows before the named one
-    do not parse either, every line from there on counts as rejected, so
-    the result never rests on numpy's wording.
-    """
-    def put(start, stop):
-        values[rows[start:stop]], anomalous[rows[start:stop]] = _fields(
-            _loadtxt(lines[start:stop], layout.record), layout)
-
-    rejected, start = [], 0
-    for _ in range(len(lines)):  # a pass parses the rest or rejects a line
-        if start == len(lines):
-            break
-        try:
-            put(start, len(lines))
-            break
-        except ValueError as exc:
-            found = _NUMPY_ROW.search(str(exc))
-            stop = start + int(found.group(1)) if found else len(lines)
-            try:
-                if start < stop < len(lines):
-                    put(start, stop)
-            except ValueError:
-                stop = len(lines)
-            if stop >= len(lines):
-                rejected.extend(range(start, len(lines)))
-                break
-            rejected.append(stop)
-            start = stop + 1
-    return rejected
 
 
 def _loadtxt(lines, record):

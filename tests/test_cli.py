@@ -443,6 +443,21 @@ def test_sweep_non_numeric_sigma_exits_2(runner, synth_csv, tmp_path):
     assert "--sigma" in result.output
 
 
+@pytest.mark.parametrize("option", [["--seed", "-1"], ["--epochs", "-1"]])
+def test_sweep_out_of_range_seed_or_epochs_exits_2(runner, synth_csv, tmp_path, option):
+    # a negative --seed was exit 1 from numpy's generator; both are checked
+    # before the CSV is read, so a missing CSV does not hide them
+    out = tmp_path / "sweep.csv"
+    for data_path in (synth_csv, tmp_path / "missing.csv"):
+        result = runner.invoke(main, [
+            "sweep", "--data", str(data_path), "--features", _features_json(tmp_path),
+            "--sigma", "0.2", *option, "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+    assert not out.exists()
+
+
 def test_directory_as_data_exits_3(runner, trained_checkpoint, tmp_path):
     folder = tmp_path / "flows"
     folder.mkdir()

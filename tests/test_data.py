@@ -338,6 +338,26 @@ def test_load_csv_short_rows_and_text_cells_take_two_numpy_calls(tmp_path):
     assert calls["suspects"] == 3 and calls["row"] == 60 + 24
 
 
+@pytest.mark.parametrize("every_line", [False, True])
+@pytest.mark.parametrize("cell", ["1_000", "fan", "\u0661"])
+def test_load_csv_cells_numpy_rejects_take_two_numpy_calls(tmp_path, cell, every_line):
+    # the letter scan lets these cells through and numpy rejects them; the
+    # per-row rule reads the chunk after one more numpy call (was two more
+    # calls for one such line, one call per line when every line has one)
+    lines = _flow_lines(np.random.default_rng(14), 200, 5)
+    for i in range(200) if every_line else [57]:
+        cells = lines[i].split(",")
+        cells[i % 5] = cell
+        lines[i] = ",".join(cells)
+    path = tmp_path / "flows.csv"
+    _write_flows(path, 5, lines)
+    got, calls = _counted_load_csv(path, 1 << 20, label_column="label")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:]
+    assert calls["chunks"] == 1 and calls["loadtxt"] <= 2 and calls["row"] == 200
+
+
 def test_load_csv_chunk_of_blank_lines_does_not_make_numpy_warn(tmp_path):
     path = tmp_path / "gaps.csv"
     path.write_text("a,label\n1,0\n" + "\n" * 40 + "\r\n" * 40 + "2,1\n" + " \n" * 20,
