@@ -6,7 +6,8 @@ use the configured activation, the reconstruction output layer is linear.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,12 +50,44 @@ def _grad_pre(name, h, grad):
     return out
 
 
+def _layout(layer_dims):
+    """(field, layer, shape) of each parameter array in flat order: per
+    layer its weights, encoder bias and decoder bias."""
+    for l, (fan_in, fan_out) in enumerate(zip(layer_dims[:-1], layer_dims[1:])):
+        yield "weights", l, (fan_out, fan_in)
+        yield "biases_enc", l, (fan_out,)
+        yield "biases_dec", l, (fan_in,)
+
+
+def _views(flat, layer_dims):
+    """{field: [arrays]}: the parameter arrays of layer_dims as views of the
+    flat buffer, in _layout order."""
+    views = {"weights": [], "biases_enc": [], "biases_dec": []}
+    at = 0
+    for name, _, shape in _layout(layer_dims):
+        size = math.prod(shape)
+        views[name].append(flat[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+def flat_name(layer_dims, index):
+    """The name, as "weights[0]", of the array that holds entry index of a
+    flat parameter or gradient buffer."""
+    for name, l, shape in _layout(layer_dims):
+        index -= math.prod(shape)
+        if index < 0:
+            return f"{name}[{l}]"
+
+
 @dataclass
 class NetworkParams:
     """Encoder weights (decoder is the transpose view) plus per-side biases.
 
     weights[l] has shape (layer_dims[l+1], layer_dims[l]). biases_dec[l] is
-    the bias applied when decoding back to width layer_dims[l].
+    the bias applied when decoding back to width layer_dims[l]. Made by
+    init_params, every array is a view of one flat buffer, flat, which the
+    optimizer updates in one pass; a checkpoint's params have none.
     """
 
     layer_dims: list
@@ -62,6 +95,7 @@ class NetworkParams:
     biases_enc: list  # biases_enc[l] has length layer_dims[l+1]
     biases_dec: list  # biases_dec[l] has length layer_dims[l]
     activation: str = "tanh"
+    flat: np.ndarray | None = None
 
     def n_params(self):
         return sum(w.size for w in self.weights) + sum(
@@ -84,38 +118,46 @@ class ForwardTrace:
 
 @dataclass
 class Gradients:
+    """One array per parameter, each a view of the flat buffer flat, laid
+    out as init_params lays out the parameters."""
+
     weights: list
     biases_enc: list
     biases_dec: list
+    flat: np.ndarray
+
+    @staticmethod
+    def over(flat, layer_dims) -> "Gradients":
+        return Gradients(**_views(flat, layer_dims), flat=flat)
 
     @staticmethod
     def zeros_like(params: NetworkParams) -> "Gradients":
-        return Gradients(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases_enc=[np.zeros_like(b) for b in params.biases_enc],
-            biases_dec=[np.zeros_like(b) for b in params.biases_dec],
-        )
+        return Gradients.over(np.zeros(params.n_params()), params.layer_dims)
 
 
 def init_params(layer_dims, activation="tanh", seed=42) -> NetworkParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights, zero biases, deterministic per seed, all in
+    one flat buffer. Widths whose parameters cannot be allocated are a
+    ParameterError."""
     dims = [int(d) for d in layer_dims]
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise ParameterError(f"layer_dims needs >=2 positive widths, got {layer_dims}")
     if activation not in ACTIVATIONS:
         raise ParameterError(f"activation must be one of {ACTIVATIONS}")
+    size = sum(math.prod(shape) for _, _, shape in _layout(dims))
+    try:
+        flat = np.zeros(size)
+    except (MemoryError, ValueError) as exc:
+        raise ParameterError(
+            f"layer_dims {dims} need {size} parameters, which cannot be allocated: {exc}"
+        ) from None
+    views = _views(flat, dims)
     rng = np.random.default_rng(seed)
-    weights = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for w in views["weights"]:
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-    return NetworkParams(
-        layer_dims=dims,
-        weights=weights,
-        biases_enc=[np.zeros(d) for d in dims[1:]],
-        biases_dec=[np.zeros(d) for d in dims[:-1]],
-        activation=activation,
-    )
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return NetworkParams(layer_dims=dims, activation=activation, flat=flat, **views)
 
 
 def _as_batch(params: NetworkParams, batch):
@@ -179,7 +221,9 @@ def backward(params: NetworkParams, trace: ForwardTrace,
              grad_wrt_latent=None, grad_wrt_recon=None) -> Gradients:
     """Reverse accumulation through decoder then encoder.
 
-    Tied weights collect the sum of both paths' contributions. Upstream
+    Each gradient is written straight into one new flat buffer, laid out
+    as init_params lays out the parameters (Gradients.flat); tied weights
+    add the encoder path's product to the decoder path's. Upstream
     gradients must already carry any batch-mean factors.
     """
     n_layers = len(params.weights)
@@ -195,7 +239,7 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     if grad_wrt_recon.shape != recon_shape:
         raise ParameterError("grad_wrt_recon shape mismatch")
 
-    grads = Gradients.zeros_like(params)
+    grads = Gradients.over(np.empty(params.n_params()), params.layer_dims)
 
     # decoder: walk from the reconstruction back up to the latent
     d_out = grad_wrt_recon
@@ -205,8 +249,8 @@ def backward(params: NetworkParams, trace: ForwardTrace,
         else:
             d_pre = _grad_pre(params.activation, trace.dec_act[l], d_out)
         # dec step l computed: out_l = act(in @ W_l + b_dec_l), in = dec_act[l+1]
-        grads.weights[l] += trace.dec_act[l + 1].T @ d_pre
-        grads.biases_dec[l] += d_pre.sum(axis=0)
+        np.matmul(trace.dec_act[l + 1].T, d_pre, out=grads.weights[l])
+        np.add.reduce(d_pre, axis=0, out=grads.biases_dec[l])
         d_out = d_pre @ params.weights[l].T
     d_latent = grad_wrt_latent + d_out
 
@@ -214,8 +258,8 @@ def backward(params: NetworkParams, trace: ForwardTrace,
     d_h = d_latent
     for l in range(n_layers - 1, -1, -1):
         d_pre = _grad_pre(params.activation, trace.enc_act[l + 1], d_h)
-        grads.weights[l] += d_pre.T @ trace.enc_act[l]
-        grads.biases_enc[l] += d_pre.sum(axis=0)
+        grads.weights[l] += d_pre.T @ trace.enc_act[l]  # the tied weights' second path
+        np.add.reduce(d_pre, axis=0, out=grads.biases_enc[l])
         if l:  # nothing needs the gradient w.r.t. the input batch
             d_h = d_pre @ params.weights[l]
     return grads

@@ -102,8 +102,12 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     the normalized latent Gram is zhat = K / N and only its off-diagonal
     entries carry gradient. With P = K * xhat (elementwise) the joint Gram
     is P / tr(P), and P's diagonal is xhat's. The entropies and the chain
-    rule through K's exponent need only K * K and K * (P * xhat) = P * P,
-    each applied to [z, 1] by one matrix product; P itself is never formed.
+    rule through K's exponent need only K * K, which is the Gaussian kernel
+    at sigma / sqrt(2), and (K * K) * (xhat * xhat) = P * P, each applied
+    to [z, 1] by one matrix product; neither K nor P is formed. xhat * xhat
+    is squared once per block and gives the input entropy and the diagonal
+    sums too. Every entropy sum is np.sum's, whose bits do not depend on
+    the BLAS thread count.
 
     Both Grams are built one block of B rows at a time, from lifted rows
     made once per call, in two B x N buffers: B * N <= _MI_BLOCK (B = 1
@@ -139,32 +143,30 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     z1 = np.hstack([z, np.ones((n, 1))])
     k2z, p2z = np.empty_like(z1), np.empty_like(z1)
     gram_buf, latent_buf = work or mi_workspace([n])
+    half = sigma / math.sqrt(2.0)  # K * K is the Gaussian kernel at sigma / sqrt(2)
     sx = tp = sd = 0.0  # sums of xhat * xhat, of xhat's diagonal and of its squares
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        size = (r1 - r0) * n
-        kk = gaussian_rows(zlhs[r0:r1], zrhs, r0, sigma,
-                           out=latent_buf[:size].reshape(-1, n))
+        block = gram_buf[:(r1 - r0) * n].reshape(-1, n)
+        kk = gaussian_rows(zlhs[r0:r1], zrhs, r0, half,
+                           out=latent_buf[:block.size].reshape(-1, n))
         if xhat is None:
             lhs = xlhs[:r1 - r0]
             np.multiply(xrhs[r0:r1, :d], -0.5, out=lhs[:, :d])
             lhs[:, d] = xrhs[r0:r1, d + 1]
-            xb = gaussian_rows(lhs, xrhs, r0, sigma,
-                               out=gram_buf[:size].reshape(-1, n))
+            xb = gaussian_rows(lhs, xrhs, r0, sigma, out=block)
             xb /= n  # unit diagonal: dividing by N is the trace normalization
         else:
             xb = xhat[r0:r1]
-        xdiag = np.diagonal(xb, r0)
-        tp += float(xdiag.sum())
-        sd += float(np.vdot(xdiag, xdiag))
-        sx += float(np.vdot(xb, xb))
+        tp += float(np.diagonal(xb, r0).sum())
+        xb2 = np.multiply(xb, xb, out=block)  # in place when xb is the built block
+        sd += float(np.diagonal(xb2, r0).sum())
+        sx += float(xb2.sum())
         # off-diagonal squares (the diagonal of zhat is constant), each
         # applied to [z, 1] in one pass: the last column holds the row sums
-        np.square(kk, out=kk)
         kk.flat[r0::n + 1] = 0.0
         np.matmul(kk, z1, out=k2z[r0:r1])
-        kk *= xb
-        kk *= xb  # now P * P
+        kk *= xb2  # now P * P
         np.matmul(kk, z1, out=p2z[r0:r1])
     if tp <= 0:
         raise DegeneracyError("Hadamard joint Gram has non-positive trace")

@@ -62,7 +62,8 @@ def lifted_rows(a, b):
     a = _as_matrix(a, "a")
     b = a if same else _as_matrix(b, "b")
     d = a.shape[1]
-    mean = a.mean(axis=0)
+    mean = np.add.reduce(a, axis=0)  # a.mean(axis=0)'s bits, without its checks
+    mean /= a.shape[0]
     lhs = np.empty((a.shape[0], d + 2))
     rhs = np.empty((b.shape[0], d + 2))
     ac = np.subtract(a, mean, out=lhs[:, :d])
@@ -132,13 +133,14 @@ def ridge_inverse(r, epsilon=RIDGE_EPSILON):
         raise ParameterError(f"expected square matrix, got {r.shape}")
     if epsilon < 0:
         raise ParameterError("epsilon must be non-negative")
-    ridged = r + epsilon * np.eye(k)
+    eye = np.eye(k)
+    ridged = r + epsilon * eye
     try:
         inv = np.linalg.inv(ridged)
     except np.linalg.LinAlgError as exc:
         raise DegeneracyError(f"matrix singular after ridge {epsilon}") from exc
     # inv() can silently return garbage for nearly-singular input; check it
-    resid = np.max(np.abs(ridged @ inv - np.eye(k)))
+    resid = np.max(np.abs(ridged @ inv - eye))
     if not np.isfinite(resid) or resid > 1e-6:
         raise DegeneracyError(
             f"matrix effectively singular after ridge {epsilon} (residual {resid:.2e})"

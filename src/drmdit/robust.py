@@ -42,22 +42,26 @@ def median(x):
     """np.median(x, axis=0), bit for bit, without the numpy.ma import that
     np.median makes.
 
-    One np.partition at the two middle ranks (one when the row count is
-    odd); their values are summed onto 0.0 and halved, as np.median's
-    np.mean does, so a middle -0.0 gives 0.0. A column holding a NaN gives
-    NaN, and so does a column of no rows.
+    The rows are sorted once, in a copy that holds each column's values
+    contiguously (with numpy 2's vectorized sort this beats np.partition at
+    every size tried, 256 x 10 to 90000 x 41); the two middle values (one when
+    the row count is odd) are summed onto 0.0 and halved, as np.median's
+    np.mean does, so a middle -0.0 gives 0.0 and the bits do not depend on
+    how equal values are ordered. A column holding a NaN gives NaN, and so
+    does a column of no rows.
     """
     x = np.asarray(x)
     n = x.shape[0]
     if n == 0:
         return np.full(x.shape[1:], np.nan)[()]
     lo, hi = (n - 1) // 2, n // 2
-    part = np.partition(x, [hi, -1] if lo == hi else [lo, hi, -1], axis=0)
-    mid = 0.0 + part[lo]
+    ordered = x.transpose(*range(1, x.ndim), 0).copy()  # rows axis last
+    ordered.sort(axis=-1)
+    mid = 0.0 + ordered[..., lo]
     if lo != hi:
-        mid += part[hi]
+        mid += ordered[..., hi]
         mid /= 2
-    top = part[-1]  # NaN sorts last
+    top = ordered[..., -1]  # NaN sorts last
     return np.where(np.isnan(top), top, mid)[()]
 
 
@@ -112,21 +116,26 @@ def classical_stats(latents, ridge_epsilon=RIDGE_EPSILON) -> ClassicalStats:
 
 
 def _md(latents, location, inv):
+    """The distances sqrt(delta^T inv delta) of the rows delta = latents -
+    location, and the product delta @ inv they are taken from: each
+    distance is a row-wise dot of that product with delta."""
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != location.shape[0]:
         raise ParameterError(
             f"latent shape {z.shape} does not match stats dimension {location.shape[0]}"
         )
     delta = z - location
-    q = np.einsum("ni,ij,nj->n", delta, inv, delta)
-    return np.sqrt(np.maximum(q, 0.0))  # ridge can leave tiny negatives
+    prod = delta @ inv
+    q = np.einsum("ij,ij->i", prod, delta)
+    np.maximum(q, 0.0, out=q)  # ridge can leave tiny negatives
+    return np.sqrt(q, out=q), prod
 
 
 def robust_md(latents, stats: RobustLatentStats):
     """Per-row sqrt((z - median)^T corr_inv (z - median))."""
-    return _md(latents, stats.medians, stats.corr_inv)
+    return _md(latents, stats.medians, stats.corr_inv)[0]
 
 
 def classical_md(latents, stats: ClassicalStats):
     """Per-row sqrt((z - mean)^T cov_inv (z - mean))."""
-    return _md(latents, stats.means, stats.cov_inv)
+    return _md(latents, stats.means, stats.cov_inv)[0]

@@ -121,13 +121,15 @@ class TrainedModel:
 
 
 def _md_term_with_grad(latents, stats):
-    """Mean robust MD of latent rows; gradient treats stats as constants."""
-    dists = robust.robust_md(latents, stats)
-    m = latents.shape[0]
-    delta = latents - stats.medians
+    """Mean robust MD of latent rows; gradient treats stats as constants.
+
+    A row's distance gradient is (z - median) @ corr_inv over its distance:
+    the product robust._md takes the distance from, divided in place."""
+    dists, grad = robust._md(latents, stats.medians, stats.corr_inv)
     safe = np.where(dists > 1e-12, dists, np.inf)
-    grad = (delta @ stats.corr_inv) / safe[:, None] / m
-    return float(dists.mean()), grad
+    grad /= safe[:, None]
+    grad /= latents.shape[0]
+    return float(np.add.reduce(dists) / dists.size), grad  # dists.mean()'s bits
 
 
 def joint_loss(params: NetworkParams, batch, config: TrainConfig,
@@ -158,7 +160,7 @@ def joint_loss(params: NetworkParams, batch, config: TrainConfig,
 
     resid = trace.reconstruction  # made the residual in place: backward does not read it
     resid -= x
-    recon_term = float(np.mean(resid * resid))
+    recon_term = float(np.add.reduce(resid * resid, axis=None) / resid.size)  # np.mean's bits
     resid *= 2.0  # the gradient beta * (2 * resid / size), in place
     resid /= resid.size
     resid *= w.beta
@@ -190,30 +192,35 @@ class AdamState:
                          v=Gradients.zeros_like(params), step=0)
 
 
-def _walk(params: NetworkParams, grads: Gradients, state: AdamState):
-    for l in range(len(params.weights)):
-        yield f"weights[{l}]", params.weights[l], grads.weights[l], state.m.weights[l], state.v.weights[l]
-        yield f"biases_enc[{l}]", params.biases_enc[l], grads.biases_enc[l], state.m.biases_enc[l], state.v.biases_enc[l]
-        yield f"biases_dec[{l}]", params.biases_dec[l], grads.biases_dec[l], state.m.biases_dec[l], state.v.biases_dec[l]
+def _require_finite(flat, what, layer_dims):
+    """TrainingError naming the first array of a flat parameter or gradient
+    buffer that holds a non-finite value."""
+    if not np.isfinite(flat).all():
+        index = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise TrainingError(f"non-finite {what} at {autoenc.flat_name(layer_dims, index)}")
 
 
 def adam_step(params: NetworkParams, grads: Gradients, state: AdamState,
               config: TrainConfig):
-    """In-place bias-corrected ADAM update."""
+    """In-place bias-corrected ADAM update of every parameter at once.
+
+    params (as init_params makes them), grads and both moments are each one
+    flat buffer of the same layout, so the update is the per-array formula
+    applied once to all of them, with its bits, between one finite check of
+    the gradients and one of the parameters.
+    """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for path, p, g, m, v in _walk(params, grads, state):
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient at {path}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_epsilon)
-        if not np.all(np.isfinite(p)):
-            raise TrainingError(f"non-finite parameter at {path}")
+    g, m, v, p = grads.flat, state.m.flat, state.v.flat, params.flat
+    _require_finite(g, "gradient", params.layer_dims)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_epsilon)
+    _require_finite(p, "parameter", params.layer_dims)
     return params, state
 
 

@@ -148,6 +148,52 @@ def test_train_out_of_range_config_exits_2(runner, synth_csv, tmp_path, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    '{"hidden_dims": [10000000000000]}',  # was exit 1: a bare MemoryError
+    '{"latent_dim": 10000000000000}',
+    '{"hidden_dims": [10000000000000000000000]}',  # past numpy's largest array
+])
+def test_train_with_unallocatable_widths_exits_2(runner, synth_csv, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    out = tmp_path / "m.json"
+    result = runner.invoke(main, [
+        "train", "--data", str(synth_csv), "--config", str(cfg),
+        "--out", str(out), "--features", _features_json(tmp_path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "error: layer_dims" in result.output
+    assert "cannot be allocated" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"epochs": 2, "batch_size": 128, "latent_dim": 3},  # acceptance criterion 9's
+    {"epochs": 2, "batch_size": 256, "latent_dim": 10, "hidden_dims": [], "sigma": 0.1},
+])
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, config):
+    # the MI's entropy sums are np.sum's, not BLAS dot products; the step's
+    # matrix products give the same bits on 1 and 2 BLAS threads at these
+    # shapes, but not at batch 1024 and d = 122, where the backward products
+    # over the batch are split across threads
+    env = dict(os.environ, PYTHONHASHSEED="0")
+
+    def run(args, threads=None):
+        if threads:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "drmdit.cli", *map(str, args)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    run(["synth", "--seed", "7", "--out", tmp_path / "bench.csv"])
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    for threads in ("1", "2"):
+        run(["train", "--data", tmp_path / "bench.csv", "--config", tmp_path / "cfg.json",
+             "--features", _features_json(tmp_path), "--out", tmp_path / f"m{threads}.json"],
+            threads)
+    assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+
 def test_train_with_non_finite_training_scores_exits_4(runner, synth_csv, tmp_path):
     # one step at a learning rate of 1e300 leaves finite weights whose
     # reconstructions overflow; a checkpoint with an Infinity median could

@@ -75,6 +75,24 @@ def test_md_scores_are_the_scores_of_the_forward_latent(small_model):
         assert detect.score(small_model, x, mode=mode).tobytes() == expected.tobytes()
 
 
+def test_md_scores_match_the_three_operand_einsum_on_eval_bulk_blocks():
+    # a d = 41 model with the default 41 -> 20 -> 8 net, scoring two whole
+    # 4096-row blocks and a partial one: the one-product distances agree with
+    # the three-operand einsum they replaced to 1e-13, relative
+    rng = np.random.default_rng(59)
+    model = train.fit(rng.uniform(size=(600, 41)),
+                      train.TrainConfig(sigma=0.5, batch_size=256, epochs=2, seed=5))
+    x = rng.uniform(size=(9000, 41))
+    latent = autoenc.encode(model.params, x)
+    for mode, location, inv in (
+            ("robust_md", model.robust_stats.medians, model.robust_stats.corr_inv),
+            ("classical_md", model.classical_stats.means, model.classical_stats.cov_inv)):
+        delta = latent - location
+        want = np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", delta, inv, delta), 0.0))
+        got = detect.score(model, x, mode=mode)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
 def test_md_scoring_allocates_no_reconstruction():
     n, d = 20000, 41
     rng = np.random.default_rng(58)

@@ -197,6 +197,57 @@ def test_mi_row_blocks_match_whole_batch(monkeypatch, n, mode):
             assert np.max(np.abs(grad - ref[1])) <= 1e-10 * scale
 
 
+def _mi_reference(xhat, z, sigma, mode):
+    """The MI, its latent gradient and entropies by the formula used before
+    K * K became the kernel at sigma / sqrt(2): whole N x N matrices, K
+    squared, P * P as (K * K) * xhat * xhat, and np.vdot sums."""
+    n = z.shape[0]
+    kk = np.square(ndmath.gaussian_gram(z, sigma))
+    np.fill_diagonal(kk, 0.0)
+    z1 = np.hstack([z, np.ones((n, 1))])
+    k2z = kk @ z1
+    kk *= xhat
+    kk *= xhat
+    p2z = kk @ z1
+    xdiag = np.diagonal(xhat)
+    tp = float(xdiag.sum())
+    sz = (float(k2z[:, -1].sum()) + n) / (n * n)
+    sj = (float(p2z[:, -1].sum()) + float(np.vdot(xdiag, xdiag))) / (tp * tp)
+    hx, hz, hxz = (-math.log2(v) for v in (float(np.vdot(xhat, xhat)), sz, sj))
+    if mode == "ratio":
+        floor = itl.ENTROPY_FLOOR
+        a, b, c = max(hx, floor), max(hz, floor), max(hxz, floor)
+        mi = math.log2(a * b / (c * c))
+        dmi_dhz = 1.0 / (b * itl.LN2) if hz > floor else 0.0
+        dmi_dhxz = -2.0 / (c * itl.LN2) if hxz > floor else 0.0
+    else:
+        mi, dmi_dhz, dmi_dhxz = hx + hz - hxz, 1.0, -1.0
+    bz = (-2.0 * dmi_dhz / (sz * itl.LN2 * n * n) * k2z
+          - 2.0 * dmi_dhxz / (sj * itl.LN2 * tp * tp) * p2z)
+    return mi, (2.0 / (sigma * sigma)) * (bz[:, :-1] - bz[:, -1:] * z), (hx, hz, hxz)
+
+
+@pytest.mark.parametrize("mode", ["ratio", "additive"])
+@pytest.mark.parametrize("n, sigma", [(64, 0.6), (300, 0.4), (256, 0.1)])
+def test_mi_matches_the_squared_kernel_reference(monkeypatch, n, sigma, mode):
+    # K * K taken as the kernel at sigma / sqrt(2), xhat squared once and
+    # np.sum's entropy sums move only the last bits, on one block and on
+    # several, from a given Gram and from the batch
+    rng = np.random.default_rng(29 + n)
+    x = rng.uniform(size=(n, 10)) * sigma
+    z = rng.normal(size=(n, 10)) * 0.3 * sigma  # pairwise distances near sigma
+    xhat = ndmath.gaussian_gram(x, sigma) / n
+    ref_mi, ref_grad, ref_comps = _mi_reference(xhat, z, sigma, mode)
+    scale = np.max(np.abs(ref_grad))
+    for rows in (n, n // 4 + 1):
+        monkeypatch.setattr(itl, "_MI_BLOCK", rows * n)
+        for given in (xhat, None):
+            mi, grad, comps = itl.matrix_mi_with_latent_grad(given, z, sigma, mode=mode, x=x)
+            assert abs(mi - ref_mi) <= 1e-12 * abs(ref_mi)
+            assert comps == pytest.approx(ref_comps, rel=1e-12, abs=0)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * scale
+
+
 def test_mi_from_batch_rejects_mismatched_input():
     z = np.zeros((4, 2))
     with pytest.raises(ParameterError):

@@ -158,3 +158,39 @@ def test_robust_md_contamination_resistance():
     cs_clean = robust.classical_stats(clean)
     cs_dirty = robust.classical_stats(contaminated)
     assert np.max(np.abs(cs_clean.means - cs_dirty.means)) > 0.5
+
+
+def _einsum_md(latents, location, inv):
+    """The distances as the three-operand einsum took them before robust._md
+    shared one delta @ inv product between the distance and its gradient."""
+    delta = latents - location
+    return np.sqrt(np.maximum(np.einsum("ni,ij,nj->n", delta, inv, delta), 0.0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_md_matches_three_operand_einsum(k, offset):
+    rng = np.random.default_rng(40 + k)
+    z = rng.normal(size=(4096, k)) * rng.uniform(0.1, 3.0, size=k) + offset
+    rs, cs = robust.robust_correlation(z), robust.classical_stats(z)
+    for got, want in ((robust.robust_md(z, rs), _einsum_md(z, rs.medians, rs.corr_inv)),
+                      (robust.classical_md(z, cs), _einsum_md(z, cs.means, cs.cov_inv))):
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("ridge", [1e-6, 1e-12])
+def test_md_matches_three_operand_einsum_at_an_ill_conditioned_ridge(ridge):
+    # two nearly collinear columns: corr + ridge * I has a condition number
+    # near 1e8, and the quadratic form sums terms about that much larger than
+    # itself, so both formulas carry a relative error of about k * eps * 1e8.
+    # They agree to 1e-13 of the terms' magnitude |delta|^T |inv| |delta|.
+    rng = np.random.default_rng(47)
+    z = rng.normal(size=(4096, 4))
+    z[:, 1] = z[:, 0] + 1e-4 * z[:, 1]
+    stats = robust.robust_correlation(z, ridge_epsilon=ridge)
+    assert np.linalg.cond(stats.corr_inv) > 1e6
+    delta = np.abs(z - stats.medians)
+    terms = np.einsum("ni,ij,nj->n", delta, np.abs(stats.corr_inv), delta)
+    got = robust.robust_md(z, stats)
+    want = _einsum_md(z, stats.medians, stats.corr_inv)
+    assert np.max(np.abs(got * got - want * want) / terms) <= 1e-13

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -297,6 +298,45 @@ def test_adam_rejects_non_finite_gradient():
     state = train.AdamState.for_params(params)
     with pytest.raises(TrainingError, match="weights"):
         train.adam_step(params, grads, state, _config())
+
+
+@pytest.mark.parametrize("where, name", [
+    (("biases_dec", 1), "biases_dec[1]"), (("weights", 1), "weights[1]")])
+def test_adam_names_the_array_of_a_non_finite_gradient(where, name):
+    params = autoenc.init_params([4, 3, 2], seed=5)
+    grads = autoenc.Gradients.zeros_like(params)
+    getattr(grads, where[0])[where[1]][-1] = np.inf
+    state = train.AdamState.for_params(params)
+    with pytest.raises(TrainingError, match=rf"gradient at {re.escape(name)}$"):
+        train.adam_step(params, grads, state, _config())
+
+
+def test_flat_adam_matches_the_per_array_update():
+    # the parameters, gradients and moments in one flat buffer each: the
+    # update is the per-array formula's, bit for bit, step after step
+    cfg = _config(sigma=0.4, batch_size=64, learning_rate=3e-3)
+    params = autoenc.init_params([6, 4, 2], seed=8)
+    arrays = [a.copy() for a in params.weights + params.biases_enc + params.biases_dec]
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    state = train.AdamState.for_params(params)
+    x = np.random.default_rng(9).uniform(size=(64, 6))
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for step in range(1, 5):
+        _, grads = train.joint_loss(params, x, cfg)
+        flat_grads = grads.weights + grads.biases_enc + grads.biases_dec
+        train.adam_step(params, grads, state, cfg)
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for p, g, mi, vi in zip(arrays, flat_grads, m, v):
+            mi *= b1
+            mi += (1.0 - b1) * g
+            vi *= b2
+            vi += (1.0 - b2) * g * g
+            p -= cfg.learning_rate * (mi / bc1) / (np.sqrt(vi / bc2) + cfg.adam_epsilon)
+        got = params.weights + params.biases_enc + params.biases_dec
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, arrays))
+        moments = state.m.weights + state.m.biases_enc + state.m.biases_dec
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, m))
 
 
 def test_fit_loss_trend_on_gaussian_data():
