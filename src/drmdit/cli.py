@@ -115,6 +115,7 @@ class _ScoringRows:
                 labels.append(anomalous.astype(np.int8))
             dropped += n_dropped
             yield features
+            del features, anomalous  # not held while the next chunk is parsed
         _echo_dropped(dropped)
         if self.labeled:
             self.labels = np.concatenate(labels).astype(np.int64)

@@ -29,7 +29,7 @@ from .robust import median_mad
 SKEW_CUTOFF_MADS = 6.0  # about 4 sigma for Gaussian columns
 MAX_SKEW_DROP_FRACTION = 0.10
 DEFAULT_NORMAL_VALUES = ("Benign", "BENIGN", "benign", "normal", "Normal", "0")
-_KEEP_BLOCK = 4096  # rows keep_rows moves at a time
+_KEEP_BLOCK = 256  # rows _to_front moves at a time: 84 kB at d=41
 
 
 @dataclass
@@ -69,20 +69,25 @@ class FeatureMatrix:
 
     def keep_rows(self, keep):
         """Keep only the rows where the boolean mask keep is true, in order,
-        in place: they move to the front of the feature array _KEEP_BLOCK
-        rows at a time, and features becomes a view of them. Unlike take,
+        in place: features becomes a view of them (_to_front). Unlike take,
         this allocates no second N x d array."""
-        x = self.features
-        n = 0
-        for start in range(0, x.shape[0], _KEEP_BLOCK):
-            rows = np.flatnonzero(keep[start:start + _KEEP_BLOCK]) + start
-            x[n:n + rows.size] = x[rows]
-            n += rows.size
-        self.features = x[:n]
+        self.features = _to_front(self.features, keep)
         if self.labels is not None:
             self.labels = self.labels[keep]
         if self.tags is not None:
             self.tags = self.tags[keep]
+
+
+def _to_front(x, keep):
+    """The rows of x where the boolean mask keep is true, moved to the
+    front of x in order, _KEEP_BLOCK rows at a time: a view of x, and no
+    second array of x's size."""
+    n = 0
+    for start in range(0, x.shape[0], _KEEP_BLOCK):
+        rows = np.flatnonzero(keep[start:start + _KEEP_BLOCK]) + start
+        x[n:n + rows.size] = x[rows]
+        n += rows.size
+    return x[:n]
 
 
 def load_csv(path, label_column=None, columns=None,
@@ -197,6 +202,7 @@ class CsvChunks:
             for chunk in self._chunks():
                 kept += chunk[0].shape[0]
                 yield chunk
+                del chunk  # not held while the next chunk is parsed
         if not kept:
             raise DataError(f"{self.path}: no usable rows")
 
@@ -301,16 +307,15 @@ def _row_values(raw, layout):
     return vals, label not in layout.normal
 
 
-def _rule_values(rows, n, layout):
-    """The per-row rule on n csv.reader rows: (features, is_anomaly), with
-    a NaN row where the rule drops the row."""
-    values = np.full((n, len(layout.feat_idx)), np.nan)
-    anomalous = np.zeros(n, dtype=np.int64)
-    for i, raw in enumerate(rows):
-        row = _row_values(raw, layout)
-        if row is not None:
-            values[i], anomalous[i] = row
-    return values, anomalous
+def _rule_kept(rows, layout):
+    """The per-row rule on csv.reader rows: (features, is_anomaly) of the
+    rows it keeps, and their indices in rows."""
+    kept = [(i, row) for i, raw in enumerate(rows)
+            if (row := _row_values(raw, layout)) is not None]
+    features = np.array([values for _, (values, _) in kept], dtype=np.float64)
+    return (features.reshape(len(kept), len(layout.feat_idx)),
+            np.array([flag for _, (_, flag) in kept], dtype=np.int64),
+            np.array([i for i, _ in kept], dtype=np.intp))
 
 
 def _rule_rows(reader, layout):
@@ -318,7 +323,8 @@ def _rule_rows(reader, layout):
     time: (features, is_anomaly, dropped) of each batch's kept rows."""
     for batch in iter(lambda: list(itertools.islice(reader, _RULE_ROWS)), []):
         rows = [raw for raw in batch if raw]  # a blank line is no row
-        yield _kept(*_rule_values(rows, len(rows), layout))
+        features, anomalous, taken = _rule_kept(rows, layout)
+        yield features, anomalous, len(rows) - taken.size
 
 
 def _parse_lines(lines, text, layout):
@@ -337,38 +343,46 @@ def _parse_lines(lines, text, layout):
 def _parse_irregular(lines, text, layout):
     """_parse_lines for a chunk numpy rejects or that holds a blank line.
     Lines with the header's comma count and no _suspects letter go to one
-    more np.loadtxt call; the other non-blank lines go through csv.reader
-    and the per-row rule, and so does every non-blank line when numpy
-    rejects that call too (a "fan" cell, "1_000", a non-ASCII digit).
-    The rows the rule drops stay NaN, so one finite mask drops them with
-    the NaN/inf rows numpy parsed."""
+    more np.loadtxt call, whose finite rows are kept as a clean chunk's
+    are (_kept); the other non-blank lines go through csv.reader and the
+    per-row rule, and so does every non-blank line when numpy rejects that
+    call too (a "fan" cell, "1_000", a non-ASCII digit). Only when the rule
+    keeps a row (a long row, say) are its rows and numpy's copied into new
+    arrays, in line order."""
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
     blank = np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
-    values = np.full((n, len(layout.feat_idx)), np.nan)
-    anomalous = np.zeros(n, dtype=np.int64)
     parsed = (commas == layout.n_commas) & ~blank & ~_suspects(lines, text, layout)
+    fields = None
     if parsed.any():
         fields = _numpy_fields(list(itertools.compress(lines, parsed.tolist())), layout)
-        if fields is None:
-            parsed[:] = False
-        else:
-            values[parsed], anomalous[parsed] = fields
-    rule = ~blank & ~parsed
-    values[rule], anomalous[rule] = _rule_values(
-        csv.reader(itertools.compress(lines, rule.tolist())), int(rule.sum()), layout)
-    if blank.any():  # a blank line is no row
-        values, anomalous = values[~blank], anomalous[~blank]
-    return _kept(values, anomalous)
+    if fields is None:
+        parsed[:] = False
+        fields = np.empty((0, len(layout.feat_idx))), np.empty(0, dtype=np.int64)
+    keep = np.isfinite(fields[0]).all(axis=1)
+    values, anomalous, dropped = _kept(*fields, keep)
+    rule = np.flatnonzero(~blank & ~parsed)
+    rule_values, rule_anomalous, taken = _rule_kept(
+        csv.reader(map(lines.__getitem__, rule.tolist())), layout)
+    dropped += rule.size - taken.size
+    if taken.size:  # each rule row goes before the first numpy row past its line
+        at = np.searchsorted(np.flatnonzero(parsed)[keep], rule[taken])
+        values = np.insert(values, at, rule_values, axis=0)
+        anomalous = np.insert(anomalous, at, rule_anomalous)
+    return values, anomalous, dropped
 
 
-def _kept(values, anomalous):
+def _kept(values, anomalous, keep=None):
     """(values, anomalous, dropped): the rows of values and anomalous whose
-    values are all finite, and the count of the other rows."""
-    keep = np.isfinite(values).all(axis=1)
+    values are all finite (the rows of keep, when given: that mask), and
+    the count of the other rows. The kept values move to the front of
+    values in place (_to_front), so a dirty chunk's rows stay a view of its
+    records, as a clean chunk's are."""
+    if keep is None:
+        keep = np.isfinite(values).all(axis=1)
     kept = int(np.count_nonzero(keep))
-    if kept < keep.size:
-        values, anomalous = values[keep], anomalous[keep]
+    if kept < keep.size:  # values are the caller's new array or records
+        values, anomalous = _to_front(values, keep), anomalous[keep]
     return values, anomalous, keep.size - kept
 
 
@@ -682,13 +696,20 @@ def synth_generate(spec: SynthSpec) -> FeatureMatrix:
     minor axis (random sign), breaking the correlation structure while
     staying inside the normals' Euclidean distance range. Far anomalies
     are displaced far_offset along a random isotropic direction, far
-    outside that range.
+    outside that range. A spec whose rows or covariance numpy cannot
+    allocate is a ParameterError, raised before any work.
     """
     spec.validate()
+    d, counts = spec.d, (spec.n_normal, spec.n_near, spec.n_far)
+    try:
+        features, cov = np.empty((sum(counts), d)), np.empty((d, d))
+    except (MemoryError, ValueError) as exc:
+        raise ParameterError(
+            f"{spec}: {sum(counts)} rows of {d} features cannot be allocated: {exc}"
+        ) from None
     rng = np.random.default_rng(spec.seed)
-    d = spec.d
     idx = np.arange(d)
-    cov = spec.rho ** np.abs(idx[:, None] - idx[None, :])
+    np.power(spec.rho, np.abs(idx[:, None] - idx[None, :]), out=cov)
     chol = np.linalg.cholesky(cov)
     eigvals, eigvecs = np.linalg.eigh(cov)
     minor_axis = eigvecs[:, 0]  # smallest-eigenvalue direction
@@ -696,20 +717,20 @@ def synth_generate(spec: SynthSpec) -> FeatureMatrix:
     def draw(n):
         return rng.standard_normal((n, d)) @ chol.T
 
-    normals = draw(spec.n_normal)
+    normals, near, far = np.split(features, np.cumsum(counts[:2]))
+    normals[:] = draw(spec.n_normal)
 
-    near = draw(spec.n_near)
+    near[:] = draw(spec.n_near)
     if spec.n_near:
         signs = rng.choice([-1.0, 1.0], size=spec.n_near)
         near += spec.near_offset * np.sqrt(d - 1) * np.outer(signs, minor_axis)
 
-    far = draw(spec.n_far)
+    far[:] = draw(spec.n_far)
     if spec.n_far:
         raw = rng.standard_normal((spec.n_far, d))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         far += spec.far_offset * np.sqrt(d) * raw
 
-    features = np.vstack([normals, near, far])
     labels = np.concatenate([
         np.zeros(spec.n_normal, dtype=np.int64),
         np.ones(spec.n_near + spec.n_far, dtype=np.int64),

@@ -112,19 +112,19 @@ def _blocks(chunks, width):
             buf[:held] = tail
             tail = None
         start = 0
-        if held:
+        if held:  # when the buffer is still not full, start takes every row
             start = min(_SCORE_BLOCK - held, rows.shape[0])
             buf[held:held + start] = rows[:start]
             held += start
-            if held < _SCORE_BLOCK:
-                continue
-            yield buf
-            held = 0
+            if held == _SCORE_BLOCK:
+                yield buf
+                held = 0
         stop = start + (rows.shape[0] - start) // _SCORE_BLOCK * _SCORE_BLOCK
         for i in range(start, stop, _SCORE_BLOCK):
             yield rows[i:i + _SCORE_BLOCK]
         if stop < rows.shape[0]:
             tail = rows[stop:]
+        del rows  # the loop holds no chunk while the next one is parsed
     if tail is not None:
         yield tail
     elif held:

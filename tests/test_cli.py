@@ -167,6 +167,22 @@ def test_train_with_unallocatable_widths_exits_2(runner, synth_csv, tmp_path, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    '{"n_normal": 10000000000000}',  # was exit 1: a bare "Unable to allocate"
+    '{"d": 100000000000000}',  # every array of this width is past 128 TiB
+    '{"n_far": 100000000000000000000}',  # past numpy's largest array
+])
+def test_synth_with_unallocatable_spec_exits_2(runner, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    out = tmp_path / "s.csv"
+    result = runner.invoke(main, ["synth", "--spec", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: SynthSpec(")
+    assert "cannot be allocated" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", [
     {"epochs": 2, "batch_size": 128, "latent_dim": 3},  # acceptance criterion 9's
     {"epochs": 2, "batch_size": 256, "latent_dim": 10, "hidden_dims": [], "sigma": 0.1},

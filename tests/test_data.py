@@ -338,6 +338,30 @@ def test_load_csv_short_rows_and_text_cells_take_two_numpy_calls(tmp_path):
     assert calls["suspects"] == 3 and calls["row"] == 60 + 24
 
 
+def test_load_csv_rule_rows_rejoin_numpy_rows_in_file_order(tmp_path):
+    # one chunk numpy rejects: between clean rows, a text cell, a long row
+    # the per-row rule keeps, a NaN row, a short row, a blank line and a
+    # second long row
+    lines = _flow_lines(np.random.default_rng(15), 12, 5)
+    lines[1] = "tcp," + lines[1].split(",", 1)[1]
+    lines[4] = lines[4].replace("\n", ",x\n")
+    lines[5] = "nan," + lines[5].split(",", 1)[1]
+    lines[7] = ",".join(lines[7].split(",")[:3]) + "\n"
+    lines[8] = "\n"
+    lines[10] = lines[10].replace("\n", ",7\n")
+    path = tmp_path / "flows.csv"
+    _write_flows(path, 5, lines)
+    got, calls = _counted_load_csv(path, 1 << 20, label_column="label")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:] and got[3] == 3
+    kept = [0, 2, 3, 4, 6, 9, 10, 11]  # the lines whose rows load_csv keeps
+    for row, line in zip(got[0], kept):
+        assert row.tolist() == [float(v) for v in lines[line].split(",")[:5]]
+    assert [got[1][kept.index(line)] for line in (4, 10)] == [1, 0]  # DoS, BENIGN
+    assert calls == {"loadtxt": 2, "suspects": 1, "row": 4, "chunks": 1}
+
+
 @pytest.mark.parametrize("every_line", [False, True])
 @pytest.mark.parametrize("cell", ["1_000", "fan", "\u0661"])
 def test_load_csv_cells_numpy_rejects_take_two_numpy_calls(tmp_path, cell, every_line):
