@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError
-from .ndmath import (NormalizedGram, _check_sigma, _kernel_input, gaussian_rows,
-                     lifted_rows, pairwise_sq_dists)
+from .ndmath import (NormalizedGram, _check_sigma, _kernel_input, lifted_rows,
+                     pairwise_sq_dists)
 
 ENTROPY_FLOOR = 1e-3  # bits; keeps the MI ratio finite for collapsed batches
 _MI_BLOCK = 1 << 17  # entries per row-block buffer of the MI kernels: 1 MiB of float64
@@ -92,32 +92,38 @@ def mi_workspace(batch_sizes):
     return np.empty(size), np.empty(size)
 
 
+def _exp_rows(lhs, rhs, start, diag, out):
+    """exp(min(lhs @ rhs, 0)) in out, its entries [i, start + i] set to diag first."""
+    e = np.matmul(lhs, rhs, out=out)
+    np.minimum(e, 0.0, out=e)
+    e.flat[start::e.shape[1] + 1] = diag
+    return np.exp(e, out=e)
+
+
 def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     """Matrix-based MI between a fixed input Gram and the latent batch,
     plus its gradient with respect to the latent rows.
 
     xhat is the N x N trace-normalized input Gram (constant w.r.t.
-    parameters); when it is None, the input Gram is the Gaussian Gram of
-    the input batch x divided by N. The latent Gram K has unit diagonal, so
-    the normalized latent Gram is zhat = K / N and only its off-diagonal
-    entries carry gradient. With P = K * xhat (elementwise) the joint Gram
-    is P / tr(P), and P's diagonal is xhat's. The entropies and the chain
-    rule through K's exponent need only K * K, which is the Gaussian kernel
-    at sigma / sqrt(2), and (K * K) * (xhat * xhat) = P * P, each applied
-    to [z, 1] by one matrix product; neither K nor P is formed. xhat * xhat
-    is squared once per block and gives the input entropy and the diagonal
-    sums too. Every entropy sum is np.sum's, whose bits do not depend on
-    the BLAS thread count.
+    parameters) or, when None, the Gaussian Gram of the input batch x over
+    N. The latent Gram K has unit diagonal, so zhat = K / N and only its
+    off-diagonal entries carry gradient. With P = K * xhat (elementwise)
+    the joint Gram is P / tr(P). The entropies and the chain rule through
+    K's exponent need only K * K and P * P = (K * K) * (xhat * xhat), each
+    applied to [z, 1] by one matrix product. K * K is exp(-D / sigma^2) of
+    the latent squared distances D, and so is N^2 (xhat * xhat) of the
+    input ones: each block is one product of lifted rows that carry
+    -1/sigma^2, a clamp at 0 and an exp. The 1/N^2 goes into the sums, and
+    tr(xhat) = 1 and 1/N for its squared diagonal. A given xhat is squared
+    into the block, its trace and diagonal sums read from it: the routes
+    agree to the last bits. Entropy sums are np.sum's (BLAS-thread-free).
 
-    Both Grams are built one block of B rows at a time, from lifted rows
-    made once per call, in two B x N buffers: B * N <= _MI_BLOCK (B = 1
-    when N > _MI_BLOCK), so memory is O(B N + N (d + k)), never N x N. Of
-    the input batch's lifted rows only the right-hand ones are kept; a
-    block's left-hand rows are rebuilt from them, exactly, as they hold -2x.
-    A batch with N * N <= _MI_BLOCK is one block; more blocks regroup the
-    sums over xhat, which moves only their last bits. work, when given, is
-    the pair of flat buffers of mi_workspace; the result is the same as
-    without it.
+    Blocks of B rows are built in two B x N buffers, B * N <= _MI_BLOCK (B =
+    1 when N > _MI_BLOCK): memory is O(B N + N (d + k)). Right-hand lifted
+    rows are held (d + 2) x N, C-contiguous; of the input batch's only they
+    are kept, and a block's left-hand rows are rebuilt from them exactly, as
+    they hold -2x. More blocks move only the sums' last bits. work, when
+    given, is mi_workspace's pair of flat buffers; the result is the same.
 
     mode "ratio" is the paper's log2(Hx * Hz / Hxz^2) over entropies
     floored at ENTROPY_FLOOR; "additive" is the ablation Hx + Hz - Hxz.
@@ -127,53 +133,47 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     z = _kernel_input(z, "z")
     n = z.shape[0]
     rows = _block_rows(n)
+    scale = -1.0 / (sigma * sigma)
     if xhat is None:
         if x is None:
             raise ParameterError("neither an input Gram nor an input batch given")
         x = _kernel_input(x, "x")
         if x.shape[0] != n:
             raise ParameterError(f"input batch of {x.shape[0]} rows does not match batch {n}")
-        xrhs = lifted_rows(x, x)[1]  # [-2x, 1, |x|^2]
-        d = x.shape[1]
-        xlhs = np.empty((rows, d + 2))  # one block's [x, |x|^2, 1]
-        xlhs[:, d + 1] = 1.0
+        xrhs = np.ascontiguousarray(lifted_rows(x, x)[1].T)  # [-2x, 1, |x|^2] by column
+        xlhs = np.full((rows, x.shape[1] + 2), scale)  # one block's scale * [x, |x|^2, 1]
+        s2, tp, sd = 1.0 / (n * n), 1.0, 1.0 / n  # block = (xhat * xhat) / s2
     elif xhat.shape != (n, n):
         raise ParameterError(f"input Gram shape {xhat.shape} does not match batch {n}")
+    else:
+        s2, tp, sd = 1.0, float(np.trace(xhat)), float(np.sum(np.diagonal(xhat) ** 2))
+        if tp <= 0:
+            raise DegeneracyError("Hadamard joint Gram has non-positive trace")
     zlhs, zrhs = lifted_rows(z, z)
+    zrhs = np.multiply(zrhs.T, scale, order="C")
     z1 = np.hstack([z, np.ones((n, 1))])
     k2z, p2z = np.empty_like(z1), np.empty_like(z1)
     gram_buf, latent_buf = work or mi_workspace([n])
-    half = sigma / math.sqrt(2.0)  # K * K is the Gaussian kernel at sigma / sqrt(2)
-    sx = tp = sd = 0.0  # sums of xhat * xhat, of xhat's diagonal and of its squares
+    sx = 0.0  # sum of the blocks, s2 * sum(xhat * xhat)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         block = gram_buf[:(r1 - r0) * n].reshape(-1, n)
-        kk = gaussian_rows(zlhs[r0:r1], zrhs, r0, half,
-                           out=latent_buf[:block.size].reshape(-1, n))
+        kk = latent_buf[:block.size].reshape(-1, n)
+        _exp_rows(zlhs[r0:r1], zrhs, r0, -math.inf, kk)  # K * K off its diagonal
+        np.matmul(kk, z1, out=k2z[r0:r1])  # the last column holds the row sums
         if xhat is None:
             lhs = xlhs[:r1 - r0]
-            np.multiply(xrhs[r0:r1, :d], -0.5, out=lhs[:, :d])
-            lhs[:, d] = xrhs[r0:r1, d + 1]
-            xb = gaussian_rows(lhs, xrhs, r0, sigma, out=block)
-            xb /= n  # unit diagonal: dividing by N is the trace normalization
+            np.multiply(xrhs[:-2, r0:r1].T, -0.5 * scale, out=lhs[:, :-2])
+            np.multiply(xrhs[-1, r0:r1], scale, out=lhs[:, -2])
+            xb2 = _exp_rows(lhs, xrhs, r0, 0.0, block)
         else:
-            xb = xhat[r0:r1]
-        tp += float(np.diagonal(xb, r0).sum())
-        xb2 = np.multiply(xb, xb, out=block)  # in place when xb is the built block
-        sd += float(np.diagonal(xb2, r0).sum())
+            xb2 = np.multiply(xhat[r0:r1], xhat[r0:r1], out=block)
         sx += float(xb2.sum())
-        # off-diagonal squares (the diagonal of zhat is constant), each
-        # applied to [z, 1] in one pass: the last column holds the row sums
-        kk.flat[r0::n + 1] = 0.0
-        np.matmul(kk, z1, out=k2z[r0:r1])
-        kk *= xb2  # now P * P
+        kk *= xb2  # now P * P / s2
         np.matmul(kk, z1, out=p2z[r0:r1])
-    if tp <= 0:
-        raise DegeneracyError("Hadamard joint Gram has non-positive trace")
-
     sz = (float(k2z[:, -1].sum()) + n) / (n * n)  # K's diagonal is exactly 1
-    sj = (float(p2z[:, -1].sum()) + sd) / (tp * tp)
-    hx = _renyi2_bits(sx, "input Gram")
+    sj = (s2 * float(p2z[:, -1].sum()) + sd) / (tp * tp)
+    hx = _renyi2_bits(s2 * sx, "input Gram")
     hz = _renyi2_bits(sz, "latent Gram")
     hxz = _renyi2_bits(sj, "joint Gram")
 
@@ -194,7 +194,7 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     # through zhat = K / N and dK/dz, dMI/dz_i = 2/sigma^2 sum_j B_ij (z_j - z_i)
     # with B = ck K*K + cp P*P
     ck = -2.0 * dmi_dhz / (sz * LN2 * n * n)
-    cp = -2.0 * dmi_dhxz / (sj * LN2 * tp * tp)
+    cp = -2.0 * s2 * dmi_dhxz / (sj * LN2 * tp * tp)
     bz = ck * k2z + cp * p2z
     grad_z = (2.0 / (sigma * sigma)) * (bz[:, :-1] - bz[:, -1:] * z)
     return mi, grad_z, (hx, hz, hxz)

@@ -207,7 +207,8 @@ def adam_step(params: NetworkParams, grads: Gradients, state: AdamState,
     params (as init_params makes them), grads and both moments are each one
     flat buffer of the same layout, so the update is the per-array formula
     applied once to all of them, with its bits, between one finite check of
-    the gradients and one of the parameters.
+    the gradients and one of the parameters; a second moment that overflows
+    is a TrainingError too, not an inf that stops its parameters.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -219,6 +220,7 @@ def adam_step(params: NetworkParams, grads: Gradients, state: AdamState,
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
+    _require_finite(v, "second moment", params.layer_dims)  # g * g can overflow
     p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.adam_epsilon)
     _require_finite(p, "parameter", params.layer_dims)
     return params, state

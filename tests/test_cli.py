@@ -228,6 +228,23 @@ def test_train_with_non_finite_training_scores_exits_4(runner, synth_csv, tmp_pa
     assert not out.exists()
 
 
+def test_train_with_an_overflowing_adam_moment_exits_4(runner, synth_csv, tmp_path):
+    # weights of 1e308 make gradients whose squares overflow in ADAM's second
+    # moment; the run stops with a named error instead of freezing them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1, "batch_size": 64, "latent_dim": 2,
+                               "weights": {"alpha": 1e308, "beta": 1e308, "gamma": 0}}))
+    out = tmp_path / "m.json"
+    with np.errstate(over="ignore"):
+        result = runner.invoke(main, [
+            "train", "--data", str(synth_csv), "--config", str(cfg),
+            "--out", str(out), "--features", _features_json(tmp_path),
+        ])
+    assert result.exit_code == 4, result.output
+    assert "non-finite second moment at" in result.output
+    assert not out.exists()
+
+
 def test_train_without_features_takes_the_label_column(runner, synth_csv, tmp_path):
     # synth writes f0..f3,label,tag: label is the label, not a fifth feature
     cfg = tmp_path / "cfg.json"

@@ -311,6 +311,18 @@ def test_adam_names_the_array_of_a_non_finite_gradient(where, name):
         train.adam_step(params, grads, state, _config())
 
 
+def test_adam_rejects_a_second_moment_that_overflows():
+    # a finite gradient of 1e200 squares to inf: v = inf would make the
+    # update m / inf = 0 and freeze the parameters without an error
+    params = autoenc.init_params([3, 2], seed=5)
+    grads = autoenc.Gradients.zeros_like(params)
+    grads.biases_dec[0][:] = 1e200
+    state = train.AdamState.for_params(params)
+    with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match=r"second moment at biases_dec\[0\]$"):
+        train.adam_step(params, grads, state, _config())
+
+
 def test_flat_adam_matches_the_per_array_update():
     # the parameters, gradients and moments in one flat buffer each: the
     # update is the per-array formula's, bit for bit, step after step
