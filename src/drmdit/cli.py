@@ -8,6 +8,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import gc
 import json
 import sys
 from dataclasses import dataclass, field
@@ -29,11 +30,17 @@ EXIT_CODES = {
 
 def _exit_codes(command):
     """The single funnel to exit codes: an exception ends command with
-    "error: ..." and its EXIT_CODES code, or 1 for any other exception."""
+    "error: ..." and its EXIT_CODES code, or 1 for any other exception.
+
+    command runs with numpy's floating-point errors ignored, so a warning
+    filter that turns RuntimeWarnings into exceptions cannot change its
+    outcome: every output is checked for finiteness by the code that
+    writes it, which names the failure."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
-            return command(*args, **kwargs)
+            with np.errstate(all="ignore"):
+                return command(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001
             click.echo(f"error: {exc}", err=True)
             sys.exit(next((code for klass, code in EXIT_CODES.items()
@@ -272,5 +279,16 @@ def cli_synth(spec_json, seed, out_path):
     click.echo(f"wrote {out_path} ({dataset.n_rows} rows)")
 
 
-if __name__ == "__main__":
+def program():
+    """The process entry point: the CLI over a frozen import heap.
+
+    The objects the imports left behind are moved out of the cyclic
+    collector's reach, so neither its passes during the command nor the
+    one at interpreter exit walk them. main alone, as click's test runner
+    and library callers use it, leaves the collector as it was."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    program()

@@ -20,7 +20,7 @@ from .ndmath import (NormalizedGram, _check_sigma, _kernel_input, lifted_rows,
                      pairwise_sq_dists)
 
 ENTROPY_FLOOR = 1e-3  # bits; keeps the MI ratio finite for collapsed batches
-_MI_BLOCK = 1 << 17  # entries per row-block buffer of the MI kernels: 1 MiB of float64
+_MI_BLOCK = 1 << 17  # entries per row-strip buffer of the MI kernels: 1 MiB of float64
 LN2 = math.log(2.0)
 
 
@@ -80,24 +80,38 @@ def cs_divergence_sample(x, z, sigma):
 
 
 def _block_rows(n):
-    """Rows per block for a batch of n: the whole batch while n * n <= _MI_BLOCK."""
+    """Rows per strip for a batch of n: the whole batch while n * n <= _MI_BLOCK."""
     return min(n, max(1, _MI_BLOCK // n))
 
 
 def mi_workspace(batch_sizes):
     """The (input Gram, latent kernel) pair of flat buffers that
-    matrix_mi_with_latent_grad builds its row blocks in, large enough for a
+    matrix_mi_with_latent_grad builds its row strips in, large enough for a
     batch of each given size."""
     size = max(_block_rows(m) * m for m in batch_sizes)
     return np.empty(size), np.empty(size)
 
 
-def _exp_rows(lhs, rhs, start, diag, out):
-    """exp(min(lhs @ rhs, 0)) in out, its entries [i, start + i] set to diag first."""
+def _exp_rows(lhs, rhs, diag, out):
+    """exp(min(lhs @ rhs, 0)) in out, its entries [i, i] set to diag first."""
     e = np.matmul(lhs, rhs, out=out)
     np.minimum(e, 0.0, out=e)
-    e.flat[start::e.shape[1] + 1] = diag
+    e.flat[::e.shape[1] + 1] = diag
     return np.exp(e, out=e)
+
+
+def _mirrored(strip, z1, r0, r1, out):
+    """Add a symmetric matrix's rows r0:r1, given from column r0 on, applied
+    to z1, to out: the strip to rows r0:r1 and, by symmetry, its part right
+    of the square, transposed, to rows r1:. The first strip (r0 = 0) sets
+    out instead, so a single strip gives the whole matrix's product."""
+    right = strip[:, r1 - r0:].T
+    if r0 == 0:
+        np.matmul(strip, z1, out=out[:r1])
+        np.matmul(right, z1[:r1], out=out[r1:])
+    else:
+        out[r0:r1] += strip @ z1[r0:]
+        out[r1:] += right @ z1[r0:r1]
 
 
 def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
@@ -110,20 +124,25 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     off-diagonal entries carry gradient. With P = K * xhat (elementwise)
     the joint Gram is P / tr(P). The entropies and the chain rule through
     K's exponent need only K * K and P * P = (K * K) * (xhat * xhat), each
-    applied to [z, 1] by one matrix product. K * K is exp(-D / sigma^2) of
-    the latent squared distances D, and so is N^2 (xhat * xhat) of the
-    input ones: each block is one product of lifted rows that carry
-    -1/sigma^2, a clamp at 0 and an exp. The 1/N^2 goes into the sums, and
+    applied to [z, 1]. K * K is exp(-D / sigma^2) of the latent squared
+    distances D, and so is N^2 (xhat * xhat) of the input ones: each strip
+    is one product of lifted rows that carry -1/sigma^2, a clamp at 0 and
+    an exp. The 1/N^2 goes into the sums, and
     tr(xhat) = 1 and 1/N for its squared diagonal. A given xhat is squared
-    into the block, its trace and diagonal sums read from it: the routes
+    into the strip, its trace and diagonal sums read from it: the routes
     agree to the last bits. Entropy sums are np.sum's (BLAS-thread-free).
 
-    Blocks of B rows are built in two B x N buffers, B * N <= _MI_BLOCK (B =
-    1 when N > _MI_BLOCK): memory is O(B N + N (d + k)). Right-hand lifted
-    rows are held (d + 2) x N, C-contiguous; of the input batch's only they
-    are kept, and a block's left-hand rows are rebuilt from them exactly, as
-    they hold -2x. More blocks move only the sums' last bits. work, when
-    given, is mi_workspace's pair of flat buffers; the result is the same.
+    Both kernels are symmetric, so only their upper trapezoid is built:
+    strips of B rows r0:r0+B, each from column r0 on, B * N <= _MI_BLOCK (B
+    = 1 when N > _MI_BLOCK), in two flat buffers of B * N: memory is
+    O(B N + N (d + k)). A strip's part right of its square stands for the
+    mirrored part below it as well (_mirrored), so it counts twice in the
+    sums. A batch of N * N <= _MI_BLOCK (N <= 362) is one strip, the whole
+    matrix, and more strips move only the sums' last bits. Right-hand
+    lifted rows are held (d + 2) x N, C-contiguous; of the input batch's
+    only they are kept, and a strip's left-hand rows are rebuilt from them
+    exactly, as they hold -2x. work, when given, is mi_workspace's pair of
+    flat buffers; the result is the same.
 
     mode "ratio" is the paper's log2(Hx * Hz / Hxz^2) over entropies
     floored at ENTROPY_FLOOR; "additive" is the ablation Hx + Hz - Hxz.
@@ -141,8 +160,8 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
         if x.shape[0] != n:
             raise ParameterError(f"input batch of {x.shape[0]} rows does not match batch {n}")
         xrhs = np.ascontiguousarray(lifted_rows(x, x)[1].T)  # [-2x, 1, |x|^2] by column
-        xlhs = np.full((rows, x.shape[1] + 2), scale)  # one block's scale * [x, |x|^2, 1]
-        s2, tp, sd = 1.0 / (n * n), 1.0, 1.0 / n  # block = (xhat * xhat) / s2
+        xlhs = np.full((rows, x.shape[1] + 2), scale)  # one strip's scale * [x, |x|^2, 1]
+        s2, tp, sd = 1.0 / (n * n), 1.0, 1.0 / n  # strip = (xhat * xhat) / s2
     elif xhat.shape != (n, n):
         raise ParameterError(f"input Gram shape {xhat.shape} does not match batch {n}")
     else:
@@ -154,23 +173,23 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     z1 = np.hstack([z, np.ones((n, 1))])
     k2z, p2z = np.empty_like(z1), np.empty_like(z1)
     gram_buf, latent_buf = work or mi_workspace([n])
-    sx = 0.0  # sum of the blocks, s2 * sum(xhat * xhat)
+    sx = 0.0  # sum of the strips, right of their squares twice: s2 * sum(xhat * xhat)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        block = gram_buf[:(r1 - r0) * n].reshape(-1, n)
-        kk = latent_buf[:block.size].reshape(-1, n)
-        _exp_rows(zlhs[r0:r1], zrhs, r0, -math.inf, kk)  # K * K off its diagonal
-        np.matmul(kk, z1, out=k2z[r0:r1])  # the last column holds the row sums
+        strip = gram_buf[:(r1 - r0) * (n - r0)].reshape(r1 - r0, -1)
+        kk = latent_buf[:strip.size].reshape(strip.shape)
+        _exp_rows(zlhs[r0:r1], zrhs[:, r0:], -math.inf, kk)  # K * K off its diagonal
+        _mirrored(kk, z1, r0, r1, k2z)  # the last column holds the row sums
         if xhat is None:
             lhs = xlhs[:r1 - r0]
             np.multiply(xrhs[:-2, r0:r1].T, -0.5 * scale, out=lhs[:, :-2])
             np.multiply(xrhs[-1, r0:r1], scale, out=lhs[:, -2])
-            xb2 = _exp_rows(lhs, xrhs, r0, 0.0, block)
+            xb2 = _exp_rows(lhs, xrhs[:, r0:], 0.0, strip)
         else:
-            xb2 = np.multiply(xhat[r0:r1], xhat[r0:r1], out=block)
-        sx += float(xb2.sum())
+            xb2 = np.multiply(xhat[r0:r1, r0:], xhat[r0:r1, r0:], out=strip)
+        sx += float(xb2.sum()) + float(xb2[:, r1 - r0:].sum())
         kk *= xb2  # now P * P / s2
-        np.matmul(kk, z1, out=p2z[r0:r1])
+        _mirrored(kk, z1, r0, r1, p2z)
     sz = (float(k2z[:, -1].sum()) + n) / (n * n)  # K's diagonal is exactly 1
     sj = (s2 * float(p2z[:, -1].sum()) + sd) / (tp * tp)
     hx = _renyi2_bits(s2 * sx, "input Gram")

@@ -627,6 +627,58 @@ def test_rows_scoring_non_finite_exit_4(runner, trained_checkpoint, tmp_path):
     assert "1 of 2 robust_md scores are not finite" in result.output
 
 
+@pytest.mark.parametrize("command", ["score", "eval", "train"])
+def test_exit_codes_do_not_depend_on_the_warning_filter(trained_checkpoint, synth_csv,
+                                                        tmp_path, command):
+    # with numpy's RuntimeWarnings raised as exceptions, the overflowing
+    # scores of test_rows_scoring_non_finite_exit_4 and the overflowing ADAM
+    # moment of test_train_with_an_overflowing_adam_moment_exits_4 were: exit 1
+    # with "error: overflow encountered in ..."
+    if command == "train":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 1, "batch_size": 64, "latent_dim": 2,
+                                   "weights": {"alpha": 1e308, "beta": 1e308, "gamma": 0}}))
+        args = ["train", "--data", synth_csv, "--config", cfg,
+                "--features", _features_json(tmp_path), "--out", tmp_path / "result.json"]
+        message = "non-finite second moment at"
+    else:
+        def edit(doc):
+            doc["normalization"] = [[0.0, 1e-300]] * 4
+
+        path = tmp_path / "far.csv"
+        path.write_text("f0,f1,f2,f3,label\n0,0,0,0,0\n1e10,1e10,1e10,1e10,1\n")
+        args = [command, "--model", _edited_checkpoint(trained_checkpoint, tmp_path, edit),
+                "--data", path, "--out", tmp_path / "result"]
+        args += ["--labels", "label"] if command == "eval" else []
+        message = "1 of 2 robust_md scores are not finite"
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run([sys.executable, "-m", "drmdit.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 4, proc.stderr
+    assert message in proc.stderr
+    assert not list(tmp_path.glob("result*"))
+
+
+def test_only_the_program_freezes_the_import_heap():
+    # the process entry moves the import heap out of the cyclic collector's
+    # reach; importing the module, as library callers and click's test runner
+    # do, leaves the collector alone
+    probe = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+             "sys.argv = ['drmdit', '--help']\n"
+             "runpy.run_module('drmdit.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) > 0
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, drmdit.cli; print(gc.get_freeze_count())"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'drmdit = "drmdit.cli:program"' in pyproject
+
+
 def test_score_and_eval_write_the_same_score_column(runner, trained_checkpoint, synth_csv,
                                                     tmp_path):
     for command, extra in (("score", []), ("eval", ["--labels", "label"])):

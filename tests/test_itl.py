@@ -226,7 +226,8 @@ def _mi_reference(xhat, z, sigma, mode):
 
 
 @pytest.mark.parametrize("mode", ["ratio", "additive"])
-@pytest.mark.parametrize("n, sigma", [(64, 0.6), (300, 0.4), (256, 0.1), (254, 0.1)])
+@pytest.mark.parametrize("n, sigma", [(64, 0.6), (300, 0.4), (256, 0.1), (254, 0.1),
+                                      (1011, 0.9)])
 def test_mi_matches_the_squared_kernel_reference(monkeypatch, n, sigma, mode):
     # K * K taken as the kernel at sigma / sqrt(2), xhat squared once and
     # np.sum's entropy sums move only the last bits, on one block and on
