@@ -82,10 +82,9 @@ def _load_dataset(csv_path, features_json=None):
     return dataset
 
 
-def _training_set(data_path, features_json):
-    """The CSV's normal rows, skew-filtered and min-max scaled, all in the
-    one feature array the CSV was read into."""
-    dataset = _load_dataset(data_path, features_json)
+def _training_rows(dataset):
+    """Keep dataset's normal rows, skew-filter them and min-max scale them,
+    all in its one feature array, as train fits them; returns dataset."""
     if dataset.labels is not None:
         normal = dataset.labels == 0
         n_normal = np.count_nonzero(normal)
@@ -159,7 +158,7 @@ def cli_train(data_path, features_json, config_json, out_path, seed):
     doc["seed"] = doc.get("seed", 42) if seed is None else seed  # --seed wins
     config = data_mod.dataclass_from_dict(train_mod.TrainConfig, doc, "--config")
     config.validate()  # before the CSV is read
-    dataset = _training_set(data_path, features_json)
+    dataset = _training_rows(_load_dataset(data_path, features_json))
     train_mod.save_checkpoint(train_mod.fit(dataset, config), out_path)
     click.echo(f"wrote {out_path}")
 
@@ -243,16 +242,11 @@ def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
     train_rows, val_rows, _ = data_mod.split_rows(dataset, 0.6, seed=seed)
     trainset, valset = dataset.take(train_rows), dataset.take(val_rows)
     del dataset  # freed with the test split, which sweep does not use
-    if trainset.labels is not None:
-        trainset.keep_rows(trainset.labels == 0)
-    trainset.normalization = data_mod.fit_minmax(trainset)
-    for part in (trainset, valset):
-        data_mod.minmax_rows(part.features, trainset.normalization, out=part.features)
+    _training_rows(trainset)
+    data_mod.minmax_rows(valset.features, trainset.normalization, out=valset.features)
     base.batch_size = min(base.batch_size, trainset.n_rows)
-    weight_grid = [train_mod.LossWeights()]
     best, table = train_mod.grid_search(trainset, valset, sigmas,
-                                       weight_grid, base_config=base,
-                                       epochs=epochs)
+                                       [train_mod.LossWeights()], base)
     with data_mod.open_output(out_path) as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["sigma", "alpha", "beta", "gamma", "score"],

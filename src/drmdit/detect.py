@@ -205,11 +205,14 @@ def fold_scores(scores, center):
 
 
 def auc(scores, labels, center=None):
-    """Two-sided ranking AUC with ties counted half.
+    """Two-sided ranking AUC: the share of anomaly-normal pairs whose
+    anomaly scores above its normal, a tie counting half (the Mann-Whitney
+    U over the number of pairs).
 
     Scores are folded around `center` (default: the median score of
     normal-labeled rows) so both near and far anomalies rank above
-    normals.
+    normals. The counts are exact, so the AUC is their correctly rounded
+    ratio.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -222,26 +225,14 @@ def auc(scores, labels, center=None):
     if center is None:
         center = float(robust.median(s[neg]))
     t = fold_scores(s, center)
-    order = np.argsort(t, kind="stable")
-    sorted_t = t[order]
+    normals, anomalies = t[neg], t[pos]
     del t
-    # a run of tied scores at sorted positions i..j shares rank (i + j) / 2 + 1
-    starts = np.flatnonzero(np.r_[True, sorted_t[1:] != sorted_t[:-1]])
-    del sorted_t  # freed before the ranks are built
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1] = s.size
-    ends -= 1
-    run_ranks = np.add(starts, ends, dtype=np.float64)
-    run_ranks *= 0.5
-    run_ranks += 1.0
-    run_sizes = np.subtract(ends, starts, out=ends)
-    run_sizes += 1
-    del starts
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = np.repeat(run_ranks, run_sizes)
-    n_pos, n_neg = int(pos.sum()), int(neg.sum())
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    normals.sort()
+    # per anomaly: the normals below it, and those tied with it
+    below = np.searchsorted(normals, anomalies, side="left")
+    tied = np.searchsorted(normals, anomalies, side="right")
+    tied -= below
+    return float((below.sum() + 0.5 * tied.sum()) / (anomalies.size * normals.size))
 
 
 def _both_classes(labels):
@@ -268,12 +259,10 @@ def select_band(scores, labels) -> ScoreBand:
         raise ParameterError("scores/labels length mismatch")
     if not _both_classes(y):
         raise ParameterError("band selection needs both classes present")
-    # one sort: the distinct scores (values) and, for each cut k below
-    # group k (k = values.size: above the last), the rows (n_low) and the
+    # the distinct scores (values) and, for each cut k below group k
+    # (k = values.size: above the last), the rows (n_low) and the
     # anomalies (tp_low) of the groups below it
-    order = np.argsort(s)
-    s_sorted, y_sorted = s[order], y[order]
-    del order
+    s_sorted = np.sort(s)
     run_start = np.empty(s.size + 1, dtype=bool)
     run_start[0] = run_start[-1] = True
     np.not_equal(s_sorted[1:], s_sorted[:-1], out=run_start[1:-1])
@@ -281,12 +270,12 @@ def select_band(scores, labels) -> ScoreBand:
     del run_start
     values = s_sorted[n_low[:-1]]
     del s_sorted
-    pos = np.add.reduceat(y_sorted, n_low[:-1])
-    del y_sorted
-    tp_low = np.zeros_like(n_low)
-    np.cumsum(pos, out=tp_low[1:])
-    del pos
-    total_pos = int(tp_low[-1])
+    anomalous = s[y == 1]
+    anomalous.sort()
+    tp_low = np.empty_like(n_low)
+    tp_low[:-1] = np.searchsorted(anomalous, values)
+    total_pos = tp_low[-1] = anomalous.size
+    del anomalous
     # Low cut i and high cut j (above group j, so below group j + 1) flag
     # tp = tp_low[i] + P - tp_low[j + 1] anomalies among
     # n_low[i] + n - n_low[j + 1] rows. With f = 2 den tp_low - num n_low,

@@ -92,21 +92,6 @@ def pairwise_sq_dists(a, b):
     return np.maximum(sq, 0.0, out=sq)
 
 
-def gaussian_rows(lhs, rhs, start, sigma, out=None):
-    """Rows start:start + len(lhs) of a Gaussian Gram over one sample set.
-
-    lhs is that row block of lifted_rows(x, x)[0] and rhs all of
-    lifted_rows(x, x)[1]. The entries g[i, start + i] are the diagonal and
-    come out exactly 1. sigma is not checked here. The B x N block is built
-    in out when given (a C-contiguous float64 array).
-    """
-    g = np.matmul(lhs, rhs.T, out=out)
-    np.maximum(g, 0.0, out=g)
-    g.flat[start::g.shape[1] + 1] = 0.0
-    g *= -0.5 / (sigma * sigma)
-    return np.exp(g, out=g)
-
-
 def gaussian_gram(samples, sigma):
     """N x N Gram matrix of the isotropic Gaussian kernel over sample rows.
 
@@ -117,7 +102,11 @@ def gaussian_gram(samples, sigma):
     sigma = _check_sigma(sigma)
     x = _kernel_input(samples, "samples")
     lhs, rhs = lifted_rows(x, x)
-    return gaussian_rows(lhs, rhs, 0, sigma)
+    g = lhs @ rhs.T
+    np.maximum(g, 0.0, out=g)
+    g.flat[::g.shape[1] + 1] = 0.0
+    g *= -0.5 / (sigma * sigma)
+    return np.exp(g, out=g)
 
 
 def normalize_gram(g) -> NormalizedGram:

@@ -98,7 +98,6 @@ def robust_correlation(latents, ridge_epsilon=RIDGE_EPSILON) -> RobustLatentStat
     medians, mads = median_mad(z)
     centered = z - medians
     corr = (centered.T @ centered) / n / np.outer(mads, mads)
-    corr = 0.5 * (corr + corr.T)
     corr_inv = ridge_inverse(corr, ridge_epsilon)
     return RobustLatentStats(medians=medians, mads=mads, corr=corr, corr_inv=corr_inv)
 
@@ -111,7 +110,6 @@ def classical_stats(latents, ridge_epsilon=RIDGE_EPSILON) -> ClassicalStats:
     means = z.mean(axis=0)
     centered = z - means
     cov = (centered.T @ centered) / z.shape[0]
-    cov = 0.5 * (cov + cov.T)
     return ClassicalStats(means=means, cov=cov, cov_inv=ridge_inverse(cov, ridge_epsilon))
 
 

@@ -311,8 +311,9 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
 
 
 def grid_search(train_data, validation_data, sigma_grid, weight_grid,
-                base_config: TrainConfig | None = None, epochs=10):
-    """Train one short-budget model per (sigma, weights) cell.
+                base_config: TrainConfig):
+    """Train one model per (sigma, weights) cell: base_config with that
+    sigma and those weights.
 
     Labeled validation data is scored by folded AUC of robust-MD scores;
     unlabeled validation by the negative mean robust-MD (closer to the
@@ -325,7 +326,6 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
     weight_grid = list(weight_grid)
     if not sigma_grid or not weight_grid:
         raise ParameterError("empty grid")
-    base = base_config or TrainConfig()
     labels = getattr(validation_data, "labels", None)
     val_features = np.asarray(
         getattr(validation_data, "features", validation_data), dtype=np.float64
@@ -335,7 +335,7 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
     scored = 0
     for sigma in sigma_grid:
         for weights in weight_grid:
-            cfg = replace(base, sigma=float(sigma), epochs=epochs, weights=weights)
+            cfg = replace(base_config, sigma=float(sigma), weights=weights)
             model = fit(train_data, cfg)
             try:
                 scores = detect.score(model, val_features, mode="robust_md")

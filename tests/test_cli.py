@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import drmdit
+from drmdit import cli as cli_mod
 from drmdit import data as data_mod
+from drmdit import train as train_mod
 from drmdit.cli import main
 
 
@@ -355,10 +358,61 @@ def test_sweep_command(runner, synth_csv, tmp_path):
     assert len(lines) == 3
 
 
+def _write_flows(path, x, labels):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"f{j}" for j in range(x.shape[1])] + ["label"]) + "\n")
+        fh.writelines(",".join(map(repr, row)) + f",{label}\n"
+                      for row, label in zip(x.tolist(), labels))
+
+
+def test_sweep_fits_the_rows_train_fits(runner, tmp_path, monkeypatch):
+    # ten normal rows about 60 MADs out on one feature: sweep's cells must
+    # not see the ones in its training split, as train would not
+    rng = np.random.default_rng(58)
+    x = rng.standard_normal((400, 3)).round(5)
+    labels = np.where(rng.uniform(size=400) < 0.2, "DoS", "BENIGN")
+    x[np.flatnonzero(labels == "BENIGN")[:10], 1] = 40.0
+    flows = tmp_path / "flows.csv"
+    _write_flows(flows, x, labels)
+    seen, real_fit = [], train_mod.fit
+
+    def fit(train_data, config):
+        seen.append(train_data.features.copy())
+        return real_fit(train_data, config)
+
+    monkeypatch.setattr(train_mod, "fit", fit)
+    result = runner.invoke(main, [
+        "sweep", "--data", str(flows), "--features", _features_json(tmp_path),
+        "--sigma", "0.2,0.5", "--epochs", "0", "--seed", "7",
+        "--out", str(tmp_path / "sweep.csv"),
+    ])
+    assert result.exit_code == 0, result.output
+    dropped = re.search(r"skew filter dropped (\d+) rows", result.output)
+    assert dropped and int(dropped.group(1)) > 0
+    dataset = cli_mod._load_dataset(flows, _features_json(tmp_path))
+    train_rows, _, _ = data_mod.split_rows(dataset, 0.6, seed=7)
+    expected = cli_mod._training_rows(dataset.take(train_rows)).features
+    assert len(seen) == 2
+    assert all(np.array_equal(rows, expected) for rows in seen)
+
+
+def test_sweep_with_too_few_normal_training_rows_exits_2(runner, tmp_path):
+    # six normal rows in the training split: too few to skew-filter, as in train
+    x = np.random.default_rng(59).standard_normal((30, 3)).round(5)
+    flows = tmp_path / "flows.csv"
+    _write_flows(flows, x, ["BENIGN"] * 10 + ["DoS"] * 20)
+    result = runner.invoke(main, [
+        "sweep", "--data", str(flows), "--features", _features_json(tmp_path),
+        "--sigma", "0.2", "--epochs", "0", "--out", str(tmp_path / "sweep.csv"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "skew_filter needs >= 10 rows" in result.output
+
+
 def test_sweep_holds_about_two_copies_of_the_loaded_set(runner, tmp_path):
-    # load, take the training and validation rows, drop labeled anomalies
-    # and min-max scale both in place: at the peak, the loaded matrix and
-    # the two splits, about 1.9 copies
+    # load, take the training and validation rows, drop labeled anomalies,
+    # skew-filter and min-max scale in place: at the peak, the loaded matrix
+    # and the two splits, about 1.9 copies
     n, d = 30_000, 41
     rng = np.random.default_rng(51)
     x = rng.standard_normal((n, d)).round(5)

@@ -47,21 +47,6 @@ def test_pairwise_sq_dists_memory_stays_quadratic():
     assert peak < 4 * n * n * 8
 
 
-def test_gaussian_rows_writes_row_blocks_into_out():
-    x = np.random.default_rng(6).normal(size=(40, 7))
-    g = ndmath.gaussian_gram(x, 0.7)
-    lhs, rhs = ndmath.lifted_rows(x, x)
-    flat = np.full(64 * 40, np.nan)  # a larger buffer, as fit keeps it
-    for start, stop in ((0, 40), (0, 13), (13, 26), (39, 40)):
-        out = flat[:(stop - start) * 40].reshape(-1, 40)
-        got = ndmath.gaussian_rows(lhs[start:stop], rhs, start, 0.7, out=out)
-        assert got is out
-        assert np.all(np.diagonal(got, start) == 1.0)
-        np.testing.assert_allclose(got, g[start:stop], rtol=1e-13, atol=0)
-    whole = ndmath.gaussian_rows(lhs, rhs, 0, 0.7, out=flat[:40 * 40].reshape(40, 40))
-    assert np.array_equal(whole, g)
-
-
 def test_gaussian_gram_zero_distance_value():
     g = ndmath.gaussian_gram([[0.0]], sigma=1.0)
     assert g[0, 0] == pytest.approx(1.0, abs=1e-10)

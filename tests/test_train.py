@@ -393,9 +393,8 @@ def test_fit_rejects_tiny_dataset():
 def test_grid_search_single_cell():
     rng = np.random.default_rng(37)
     data = rng.normal(size=(80, 3))
-    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1)
-    best, table = train.grid_search(data, data, [0.1], [train.LossWeights()],
-                                    base_config=cfg, epochs=1)
+    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1, epochs=1)
+    best, table = train.grid_search(data, data, [0.1], [train.LossWeights()], cfg)
     assert best.sigma == 0.1
     assert len(table) == 1
 
@@ -416,10 +415,9 @@ def _degenerate_for(monkeypatch, sigmas):
 
 def test_grid_search_ranks_a_degenerate_cell_last(monkeypatch):
     data = np.random.default_rng(37).normal(size=(80, 3))
-    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1)
+    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1, epochs=1)
     _degenerate_for(monkeypatch, {0.1})
-    best, table = train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()],
-                                    base_config=cfg, epochs=1)
+    best, table = train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()], cfg)
     assert best.sigma == 0.5
     assert [row["score"] for row in table][0] == -np.inf
     assert np.isfinite(table[1]["score"])
@@ -427,16 +425,16 @@ def test_grid_search_ranks_a_degenerate_cell_last(monkeypatch):
 
 def test_grid_search_with_every_cell_degenerate_is_an_error(monkeypatch):
     data = np.random.default_rng(37).normal(size=(80, 3))
-    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1)
+    cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1, epochs=1)
     _degenerate_for(monkeypatch, {0.1, 0.5})
     with pytest.raises(DegeneracyError, match="no grid cell"):
-        train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()],
-                          base_config=cfg, epochs=1)
+        train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()], cfg)
 
 
 def test_grid_search_empty_grid():
     with pytest.raises(ParameterError):
-        train.grid_search(np.zeros((10, 2)), np.zeros((10, 2)), [], [])
+        train.grid_search(np.zeros((10, 2)), np.zeros((10, 2)), [], [],
+                          train.TrainConfig())
 
 
 def _whole_set_freeze(params, x, config):
@@ -502,10 +500,12 @@ def test_train_path_holds_at_most_two_copies_of_the_loaded_set(tmp_path):
     features = tmp_path / "features.json"
     features.write_text(json.dumps({"label_column": "label"}))
     cfg = train.TrainConfig(epochs=0)
-    train.fit(cli._training_set(paths["warm"], features), cfg)  # lazy imports, caches
+    warm = cli._training_rows(cli._load_dataset(paths["warm"], features))
+    train.fit(warm, cfg)  # lazy imports, caches
     tracemalloc.start()
     try:
-        model = train.fit(cli._training_set(paths["flows"], features), cfg)
+        model = train.fit(cli._training_rows(cli._load_dataset(paths["flows"], features)),
+                          cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
