@@ -11,7 +11,7 @@ import functools
 import gc
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import click
 import numpy as np
@@ -100,43 +100,20 @@ def _training_rows(dataset):
     return dataset
 
 
-class _ScoringRows:
-    """A CSV's scoring columns as detect.score and detect.evaluate take
-    them, read and normalized with the training record one chunk at a
-    time: features iterates the chunks' rows, and labels holds the label
-    column (None without one) once they are used up."""
-
-    def __init__(self, model, source):
-        self.labeled = source.labeled
-        self.labels = None
-        self.features = self._chunks(model, source)
-
-    def _chunks(self, model, source):
-        labels, dropped = [], 0
-        for features, anomalous, n_dropped in source:
-            if model.normalization is not None:
-                data_mod.minmax_rows(features, model.normalization, out=features)
-            if self.labeled:
-                # a byte a row while the chunks are scored, not eight
-                labels.append(anomalous.astype(np.int8))
-            dropped += n_dropped
-            yield features
-            del features, anomalous  # not held while the next chunk is parsed
-        _echo_dropped(dropped)
-        if self.labeled:
-            self.labels = np.concatenate(labels).astype(np.int64)
-
-
 @contextlib.contextmanager
 def _scoring_rows(model, data_path, features_json, label_column=None):
-    """Open the CSV for scoring. Its columns are --features' columns, else
-    the checkpoint's feature names; --labels takes precedence over
-    --features' label_column."""
+    """Open the CSV for scoring, its rows scaled with the checkpoint's
+    min-max record (data.CsvChunks). Its columns are --features' columns,
+    else the checkpoint's feature names; --labels takes precedence over
+    --features' label_column. The drop count is printed once the rows are
+    scored."""
     spec = _feature_spec(features_json)
     with data_mod.CsvChunks(data_path, label_column=label_column or spec.label_column,
                             columns=spec.columns or model.feature_names,
-                            normal_values=tuple(spec.normal_values)) as source:
-        yield _ScoringRows(model, source)
+                            normal_values=tuple(spec.normal_values),
+                            normalization=model.normalization) as source:
+        yield source
+    _echo_dropped(source.dropped)
 
 
 @click.group()
@@ -229,24 +206,24 @@ def cli_eval(model_path, data_path, features_json, label_column, mode, band,
 @click.option("--out", "out_path", required=True, type=click.Path())
 @_exit_codes
 def cli_sweep(data_path, features_json, sigma_list, epochs, seed, out_path):
-    """Grid-search sigma (and the default weight grid) on a labeled CSV."""
+    """Grid-search sigma on a labeled CSV."""
     try:
         sigmas = [float(v) for v in sigma_list.split(",") if v]
     except ValueError:
+        sigmas = []
+    if not sigmas:
         raise ParameterError(
-            f"--sigma must be comma-separated numbers, got {sigma_list!r}"
-        ) from None
+            f"--sigma must be comma-separated numbers, got {sigma_list!r}")
     base = train_mod.TrainConfig(seed=seed, epochs=epochs)
-    base.validate()  # before the CSV is read
+    for sigma in sigmas:  # before the CSV is read
+        replace(base, sigma=sigma).validate()
     dataset = _load_dataset(data_path, features_json)
     train_rows, val_rows, _ = data_mod.split_rows(dataset, 0.6, seed=seed)
     trainset, valset = dataset.take(train_rows), dataset.take(val_rows)
     del dataset  # freed with the test split, which sweep does not use
     _training_rows(trainset)
     data_mod.minmax_rows(valset.features, trainset.normalization, out=valset.features)
-    base.batch_size = min(base.batch_size, trainset.n_rows)
-    best, table = train_mod.grid_search(trainset, valset, sigmas,
-                                       [train_mod.LossWeights()], base)
+    best, table = train_mod.grid_search(trainset, valset, sigmas, base)
     with data_mod.open_output(out_path) as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["sigma", "alpha", "beta", "gamma", "score"],

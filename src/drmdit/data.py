@@ -112,18 +112,31 @@ def load_csv(path, label_column=None, columns=None,
     first chunk holding a quote (a field may span lines) or a control
     character numpy reads differently from float(), the rest of the file
     goes through csv.reader and the per-row rule, in batches of _RULE_ROWS
-    rows. Kept rows are written into one output buffer (_Output).
+    rows. Kept rows are copied into one features buffer, sized from the
+    file size and the characters per line read so far, grown when that
+    falls short and cut to the rows kept at the end (_resize).
 
     Returns (FeatureMatrix, dropped_count).
     """
     with CsvChunks(path, label_column, columns, normal_values) as source:
-        out = _Output(len(source.feature_names), source)
-        for features, anomalous, dropped in source:
-            out.add(features, anomalous, dropped)
-    features, anomalous = out.result()
-    return FeatureMatrix(features=features,
-                         labels=anomalous if source.labeled else None,
-                         feature_names=source.feature_names), out.dropped
+        features, n = np.empty((0, len(source.feature_names))), 0
+        for rows in source.features:
+            stop = n + rows.shape[0]
+            if stop > features.shape[0]:
+                left = (max(source.size - source.chars, 0) * source.lines
+                        // max(source.chars, 1))
+                _resize(features, stop + left + left // 16)
+            features[n:stop] = rows
+            n = stop
+    _resize(features, n)
+    return FeatureMatrix(features=features, labels=source.labels,
+                         feature_names=source.feature_names), source.dropped
+
+
+def _resize(features, rows):
+    """Give the buffer features rows rows in place (ndarray.resize, a
+    realloc): it owns its data, and load_csv keeps no view of it."""
+    features.resize((rows, features.shape[1]), refcheck=False)
 
 
 _CHUNK_BYTES = 1 << 20  # size hint for fh.readlines(): one np.loadtxt batch
@@ -161,19 +174,23 @@ def _reading(path):
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-class CsvChunks:
-    """A headered CSV read one chunk of lines at a time by load_csv's rules.
+class CsvChunks(FeatureMatrix):
+    """A headered CSV as a FeatureMatrix whose rows arrive one chunk of
+    lines at a time, read by load_csv's rules.
 
     feature_names are the selected columns and labeled tells whether there
-    is a label column. Iterating yields (features, is_anomaly, dropped) for
-    the kept rows of each chunk, in file order; the arrays are new, so the
-    caller may change them in place. A file with no kept row raises "no
-    usable rows" once the last chunk is read. Use it in a with-block,
-    which closes the file.
+    is a label column. features is a generator of each chunk's kept rows,
+    in file order; the arrays are new, so the caller may change them in
+    place, and with normalization, a min-max record of the training data
+    (minmax_rows), they come scaled in place. Once features is used up,
+    labels holds the kept rows' labels (None without a label column; one
+    byte a row until then) and dropped the count of dropped rows. A file
+    with no kept row raises "no usable rows" once the last chunk is read.
+    Use it in a with-block, which closes the file.
     """
 
     def __init__(self, path, label_column=None, columns=None,
-                 normal_values=DEFAULT_NORMAL_VALUES):
+                 normal_values=DEFAULT_NORMAL_VALUES, normalization=None):
         if not os.path.exists(path):
             raise DataError(f"no such file: {path}")
         self.path = path
@@ -189,6 +206,9 @@ class CsvChunks:
                 self._fh.close()
                 raise
         self.labeled = self._layout.label_idx is not None
+        self.normalization = normalization
+        self.dropped = 0
+        self.features = self._rows()
 
     def __enter__(self):
         return self
@@ -196,15 +216,22 @@ class CsvChunks:
     def __exit__(self, *exc_info):
         self._fh.close()
 
-    def __iter__(self):
-        kept = 0
+    def _rows(self):
+        labels, kept = [], 0
         with _reading(self.path):
-            for chunk in self._chunks():
-                kept += chunk[0].shape[0]
-                yield chunk
-                del chunk  # not held while the next chunk is parsed
+            for features, anomalous, dropped in self._chunks():
+                kept += features.shape[0]
+                self.dropped += dropped
+                if self.normalization is not None:
+                    minmax_rows(features, self.normalization, out=features)
+                if self.labeled:
+                    labels.append(anomalous.astype(np.int8))
+                yield features
+                del features, anomalous  # not held while the next chunk is parsed
         if not kept:
             raise DataError(f"{self.path}: no usable rows")
+        if self.labeled:
+            self.labels = np.concatenate(labels, dtype=np.int64)
 
     def _chunks(self):
         fh, layout = self._fh, self._layout
@@ -256,41 +283,6 @@ def _header(fh, path, label_column, columns, normal_values):
     layout = _Layout(len(header) - 1, feat_idx, label_idx, frozenset(normal_values),
                      *_record(len(header), feat_idx, label_idx))
     return layout, feature_names
-
-
-class _Output:
-    """The kept rows of load_csv in one features buffer and one labels
-    buffer. Their size is estimated from the file size and the characters
-    per line read so far; they grow when the estimate falls short and are
-    cut to the rows kept at the end (ndarray.resize, a realloc)."""
-
-    def __init__(self, d, source):
-        self.features = np.empty((0, d))
-        self.anomalous = np.empty(0, dtype=np.int64)
-        self.source = source
-        self.n = self.dropped = 0
-
-    def add(self, features, anomalous, dropped):
-        """Append one chunk's kept rows."""
-        self.dropped += dropped
-        stop = self.n + features.shape[0]
-        if stop > self.anomalous.shape[0]:
-            src = self.source
-            left = max(src.size - src.chars, 0) * src.lines // max(src.chars, 1)
-            self._resize(stop + left + left // 16)
-        self.features[self.n:stop] = features
-        self.anomalous[self.n:stop] = anomalous
-        self.n = stop
-
-    def result(self):
-        """(features, is_anomaly) of the rows kept, in file order."""
-        self._resize(self.n)
-        return self.features, self.anomalous
-
-    def _resize(self, size):
-        # the buffers own their data, and no view of them outlives add()
-        self.features.resize((size, self.features.shape[1]), refcheck=False)
-        self.anomalous.resize(size, refcheck=False)
 
 
 def _row_values(raw, layout):

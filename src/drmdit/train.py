@@ -258,23 +258,23 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
     one final full-set encoding pass.
 
     A FeatureMatrix input passes its normalization record and feature
-    names on to the model.
+    names on to the model. Fewer rows than config.batch_size train as one
+    batch; the model's config keeps the batch size as configured.
     """
     config.validate()
     features = np.asarray(
         getattr(train_data, "features", train_data), dtype=np.float64
     )
     n, d = features.shape
-    if n < config.batch_size and config.epochs > 0:
-        raise ParameterError(
-            f"need at least batch_size={config.batch_size} rows, got {n}"
-        )
+    if n < 2:
+        raise ParameterError(f"need at least 2 rows for robust stats, got {n}")
+    batch_size = min(config.batch_size, n)  # a smaller set is one batch
     params = autoenc.init_params(config.resolve_layer_dims(d),
                                  activation=config.activation, seed=config.seed)
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
-    ends = list(range(config.batch_size, n, config.batch_size)) + [n]
-    if len(ends) > 1 and n - ends[-2] < max(2, config.batch_size // 2):
+    ends = list(range(batch_size, n, batch_size)) + [n]
+    if len(ends) > 1 and n - ends[-2] < max(2, batch_size // 2):
         # robust stats of a few rows are rank-deficient and blow up the loss
         del ends[-2]  # so a short tail joins the previous batch
     starts = [0] + ends[:-1]
@@ -310,21 +310,17 @@ def fit(train_data, config: TrainConfig) -> TrainedModel:
                         feature_names=getattr(train_data, "feature_names", None) or None)
 
 
-def grid_search(train_data, validation_data, sigma_grid, weight_grid,
-                base_config: TrainConfig):
-    """Train one model per (sigma, weights) cell: base_config with that
-    sigma and those weights.
+def grid_search(train_data, validation_data, sigma_grid, base_config: TrainConfig):
+    """Train one model per sigma: base_config with that sigma.
 
     Labeled validation data is scored by folded AUC of robust-MD scores;
     unlabeled validation by the negative mean robust-MD (closer to the
     normal manifold is better). A cell whose validation scores are not
     finite scores -inf; if every cell does, that is a DegeneracyError.
-    Ties break toward smaller sigma, then larger alpha. Returns
-    (best_config, table).
+    Ties break toward smaller sigma. Returns (best_config, table).
     """
     sigma_grid = list(sigma_grid)
-    weight_grid = list(weight_grid)
-    if not sigma_grid or not weight_grid:
+    if not sigma_grid:
         raise ParameterError("empty grid")
     labels = getattr(validation_data, "labels", None)
     val_features = np.asarray(
@@ -333,27 +329,26 @@ def grid_search(train_data, validation_data, sigma_grid, weight_grid,
     table = []
     best = None
     scored = 0
+    weights = base_config.weights
     for sigma in sigma_grid:
-        for weights in weight_grid:
-            cfg = replace(base_config, sigma=float(sigma), weights=weights)
-            model = fit(train_data, cfg)
-            try:
-                scores = detect.score(model, val_features, mode="robust_md")
-            except DegeneracyError:  # non-finite validation scores rank last
-                value = -np.inf
+        cfg = replace(base_config, sigma=float(sigma))
+        model = fit(train_data, cfg)
+        try:
+            scores = detect.score(model, val_features, mode="robust_md")
+        except DegeneracyError:  # non-finite validation scores rank last
+            value = -np.inf
+        else:
+            scored += 1
+            if labels is not None and detect._both_classes(labels):
+                value = detect.auc(scores, labels,
+                                   center=model.train_score_medians["robust_md"])
             else:
-                scored += 1
-                if labels is not None and detect._both_classes(labels):
-                    value = detect.auc(scores, labels,
-                                       center=model.train_score_medians["robust_md"])
-                else:
-                    value = -float(scores.mean())
-            table.append({"sigma": float(sigma), "alpha": weights.alpha,
-                          "beta": weights.beta, "gamma": weights.gamma,
-                          "score": value})
-            key = (value, -sigma, weights.alpha)
-            if best is None or key > best[0]:
-                best = (key, cfg)
+                value = -float(scores.mean())
+        table.append({"sigma": float(sigma), "alpha": weights.alpha,
+                      "beta": weights.beta, "gamma": weights.gamma, "score": value})
+        key = (value, -sigma)
+        if best is None or key > best[0]:
+            best = (key, cfg)
     if not scored:
         raise DegeneracyError("no grid cell gave finite validation scores")
     return best[1], table

@@ -261,6 +261,18 @@ def test_train_without_features_takes_the_label_column(runner, synth_csv, tmp_pa
     assert json.loads(out.read_text())["feature_names"] == ["f0", "f1", "f2", "f3"]
 
 
+def test_train_with_fewer_rows_than_the_batch_size_trains_one_batch(runner, tmp_path):
+    # 200 normal rows under the default batch size of 256 train as one batch,
+    # as sweep's smaller splits do; the checkpoint keeps the configured size
+    flows = tmp_path / "small.csv"
+    data_mod.save_csv(data_mod.synth_generate(
+        data_mod.SynthSpec(n_normal=200, n_near=0, n_far=0)), flows)
+    out = tmp_path / "small.json"
+    result = runner.invoke(main, ["train", "--data", str(flows), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["train_config"]["batch_size"] == 256
+
+
 def _repeat_first_name(csv_path, out):
     """csv_path (synth's f0..f3,label,tag) with its tag column named f0."""
     header, rest = csv_path.read_text().split("\n", 1)
@@ -565,6 +577,23 @@ def test_unwritable_output_exits_3(runner, trained_checkpoint, synth_csv, tmp_pa
     assert result.exit_code == 3, result.output
     assert "error: cannot write " in result.output
     assert "no-such-dir" in result.output
+
+
+@pytest.mark.parametrize("name, sigma", [("missing.csv", "-1"), ("synth.csv", "-1"),
+                                         ("synth.csv", ",")])
+def test_sweep_bad_or_empty_sigma_exits_2_before_the_csv_is_read(
+        runner, synth_csv, tmp_path, monkeypatch, name, sigma):
+    def load_csv(*args, **kwargs):
+        raise AssertionError("the CSV was read")
+
+    monkeypatch.setattr(data_mod, "load_csv", load_csv)
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, [
+        "sweep", "--data", str(tmp_path / name), "--sigma", sigma, "--out", str(out),
+    ])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ") and "sigma" in result.output
+    assert not out.exists()
 
 
 def test_sweep_non_numeric_sigma_exits_2(runner, synth_csv, tmp_path):

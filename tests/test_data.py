@@ -320,7 +320,7 @@ def test_load_csv_parses_a_clean_chunk_in_one_numpy_call(tmp_path):
     # each chunk's features are a view of its records, not a copy
     with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
             data.CsvChunks(path, "label", columns) as source:
-        assert [features.flags.owndata for features, _, _ in source] == [False] * 3
+        assert [features.flags.owndata for features in source.features] == [False] * 3
 
 
 def test_load_csv_short_rows_and_text_cells_take_two_numpy_calls(tmp_path):
@@ -410,20 +410,48 @@ def test_load_csv_peak_memory_is_about_one_output_array(tmp_path, text_every):
     assert peak < 1.8 * n * d * 8
 
 
+def test_csv_chunks_streams_load_csv_rows_scaled_with_the_record(tmp_path):
+    # a dirty labeled file in 2000-byte chunks: text cells, short rows, NaN
+    # rows, a blank line and, near the end, a quoted label
+    lines = _flow_lines(np.random.default_rng(13), 400, 5, text_every=9)
+    for i in range(20, 400, 37):
+        lines[i] = ",".join(lines[i].split(",")[:3]) + "\n"
+    for i in range(11, 400, 41):
+        lines[i] = "nan," + lines[i].split(",", 1)[1]
+    lines[150] = "\n"
+    lines[380] = lines[380].replace("DoS", '"DoS"').replace("BENIGN", '"BENIGN"')
+    path = tmp_path / "flows.csv"
+    _write_flows(path, 5, lines)
+    with mock.patch.object(data, "_CHUNK_BYTES", 2000):
+        fm, dropped = data.load_csv(path, label_column="label")
+        record = data.fit_minmax(fm)
+        record[1] = (0.5, 0.5)  # a constant training column
+        with data.CsvChunks(path, label_column="label", normalization=record) as source:
+            n, chunks = 0, 0
+            for features in source.features:
+                stop = n + features.shape[0]
+                assert np.array_equal(features,
+                                      data.minmax_rows(fm.features[n:stop], record))
+                n, chunks = stop, chunks + 1
+    assert n == fm.n_rows and chunks > 10
+    assert source.labels.dtype == np.int64 and np.array_equal(source.labels, fm.labels)
+    assert source.dropped == dropped == 45 + 11 + 10 - 3  # 3 rows are two of them
+
+
 def test_load_csv_grows_its_buffer_when_later_lines_are_shorter(tmp_path):
     # the first chunk's long lines make the row estimate too small
     rng = np.random.default_rng(10)
     path = tmp_path / "flows.csv"
     _write_flows(path, 6, _flow_lines(rng, 150, 6) + _flow_lines(rng, 900, 6, 7, digits=1))
     sizes = []
-    resize = data._Output._resize
+    resize = data._resize
 
-    def recorded(out, size):
-        sizes.append((out.anomalous.shape[0], size))
-        resize(out, size)
+    def recorded(features, size):
+        sizes.append((features.shape[0], size))
+        resize(features, size)
 
     with mock.patch.object(data, "_CHUNK_BYTES", 4000), \
-            mock.patch.object(data._Output, "_resize", recorded):
+            mock.patch.object(data, "_resize", recorded):
         got = _outcome(data.load_csv, path, label_column="label")
     expected = _outcome(_reference_load_csv, path, label_column="label")
     assert any(0 < held < size for held, size in sizes)  # past the first estimate

@@ -102,7 +102,8 @@ def test_a_chunk_of_dropped_rows_keeps_the_trace(checkpoint, tmp_path):
     _write(path, x, labels)
     with mock.patch.object(data, "_CHUNK_BYTES", 2000):
         with data.CsvChunks(path, label_column="label") as source:
-            assert any(f.shape[0] == 0 and dropped for f, _, dropped in source)
+            assert 0 in [features.shape[0] for features in source.features]
+            assert source.dropped == 120
         _assert_streaming_matches(checkpoint, path, tmp_path)
     result = _cli("score", "--model", checkpoint, "--data", path, "--out", tmp_path / "s")
     assert "dropped 120 " in result.output

@@ -387,14 +387,26 @@ def test_fit_is_deterministic():
 
 def test_fit_rejects_tiny_dataset():
     with pytest.raises(ParameterError):
-        train.fit(np.zeros((3, 2)), train.TrainConfig(batch_size=256, epochs=1))
+        train.fit(np.zeros((1, 2)), train.TrainConfig(batch_size=256, epochs=1))
+
+
+def test_fit_trains_fewer_rows_than_batch_size_as_one_batch():
+    # fewer rows than batch_size make one batch, as at batch_size n; the
+    # model's config keeps the configured size
+    x = np.random.default_rng(40).normal(size=(50, 3))
+    model = train.fit(x, _config(batch_size=256, latent_dim=2))
+    whole = train.fit(x, _config(batch_size=50, latent_dim=2))
+    assert model.config.batch_size == 256
+    assert len(model.loss_history) == 2
+    for w, v in zip(model.params.weights, whole.params.weights):
+        assert np.array_equal(w, v)
 
 
 def test_grid_search_single_cell():
     rng = np.random.default_rng(37)
     data = rng.normal(size=(80, 3))
     cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1, epochs=1)
-    best, table = train.grid_search(data, data, [0.1], [train.LossWeights()], cfg)
+    best, table = train.grid_search(data, data, [0.1], cfg)
     assert best.sigma == 0.1
     assert len(table) == 1
 
@@ -417,7 +429,7 @@ def test_grid_search_ranks_a_degenerate_cell_last(monkeypatch):
     data = np.random.default_rng(37).normal(size=(80, 3))
     cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1, epochs=1)
     _degenerate_for(monkeypatch, {0.1})
-    best, table = train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()], cfg)
+    best, table = train.grid_search(data, data, [0.1, 0.5], cfg)
     assert best.sigma == 0.5
     assert [row["score"] for row in table][0] == -np.inf
     assert np.isfinite(table[1]["score"])
@@ -428,13 +440,12 @@ def test_grid_search_with_every_cell_degenerate_is_an_error(monkeypatch):
     cfg = train.TrainConfig(batch_size=40, latent_dim=2, seed=1, epochs=1)
     _degenerate_for(monkeypatch, {0.1, 0.5})
     with pytest.raises(DegeneracyError, match="no grid cell"):
-        train.grid_search(data, data, [0.1, 0.5], [train.LossWeights()], cfg)
+        train.grid_search(data, data, [0.1, 0.5], cfg)
 
 
 def test_grid_search_empty_grid():
     with pytest.raises(ParameterError):
-        train.grid_search(np.zeros((10, 2)), np.zeros((10, 2)), [], [],
-                          train.TrainConfig())
+        train.grid_search(np.zeros((10, 2)), np.zeros((10, 2)), [], train.TrainConfig())
 
 
 def _whole_set_freeze(params, x, config):
