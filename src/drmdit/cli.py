@@ -105,13 +105,19 @@ def _scoring_rows(model, data_path, features_json, label_column=None):
     """Open the CSV for scoring, its rows scaled with the checkpoint's
     min-max record (data.CsvChunks). Its columns are --features' columns,
     else the checkpoint's feature names; --labels takes precedence over
-    --features' label_column. The drop count is printed once the rows are
-    scored."""
+    --features' label_column. A selection of another width than the
+    network's input is rejected before any row is parsed. The drop count is
+    printed once the rows are scored."""
     spec = _feature_spec(features_json)
     with data_mod.CsvChunks(data_path, label_column=label_column or spec.label_column,
                             columns=spec.columns or model.feature_names,
                             normal_values=tuple(spec.normal_values),
                             normalization=model.normalization) as source:
+        width = model.params.layer_dims[0]
+        if len(source.feature_names) != width:
+            raise ParameterError(
+                f"the model takes {width} features, the selected columns are "
+                f"{len(source.feature_names)}: {source.feature_names}")
         yield source
     _echo_dropped(source.dropped)
 

@@ -247,6 +247,7 @@ class CsvChunks(FeatureMatrix):
             rows = _parse_lines(chunk, text, layout)
             del chunk, text  # not held while the caller uses the rows
             yield rows
+            del rows  # nor while the next chunk is parsed
 
     def _counted(self, lines):
         for line in lines:

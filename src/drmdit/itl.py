@@ -80,16 +80,22 @@ def cs_divergence_sample(x, z, sigma):
 
 
 def _block_rows(n):
-    """Rows per strip for a batch of n: the whole batch while n * n <= _MI_BLOCK."""
-    return min(n, max(1, _MI_BLOCK // n))
+    """Rows per strip for a batch of n: half the batch, rounded up, while
+    that fits _MI_BLOCK (n <= 512), else as many as fit. So a batch of two
+    or more rows is at least two strips, and its upper trapezoid about 3/4
+    of the n * n kernel entries or fewer."""
+    return min((n + 1) // 2, max(1, _MI_BLOCK // n))
 
 
 def mi_workspace(batch_sizes):
     """The (input Gram, latent kernel) pair of flat buffers that
     matrix_mi_with_latent_grad builds its row strips in, large enough for a
-    batch of each given size."""
+    batch of each given size. They are the two halves of one allocation:
+    at batch 256 two buffers of 256 KiB each could come from the heap and
+    stay resident once freed, where one of 512 KiB is mapped and unmapped."""
     size = max(_block_rows(m) * m for m in batch_sizes)
-    return np.empty(size), np.empty(size)
+    buf = np.empty(2 * size)
+    return buf[:size], buf[size:]
 
 
 def _exp_rows(lhs, rhs, diag, out):
@@ -133,12 +139,13 @@ def matrix_mi_with_latent_grad(xhat, z, sigma, mode="ratio", x=None, work=None):
     agree to the last bits. Entropy sums are np.sum's (BLAS-thread-free).
 
     Both kernels are symmetric, so only their upper trapezoid is built:
-    strips of B rows r0:r0+B, each from column r0 on, B * N <= _MI_BLOCK (B
-    = 1 when N > _MI_BLOCK), in two flat buffers of B * N: memory is
-    O(B N + N (d + k)). A strip's part right of its square stands for the
-    mirrored part below it as well (_mirrored), so it counts twice in the
-    sums. A batch of N * N <= _MI_BLOCK (N <= 362) is one strip, the whole
-    matrix, and more strips move only the sums' last bits. Right-hand
+    strips of B rows r0:r0+B, each from column r0 on, B <= ceil(N / 2) and
+    B * N <= _MI_BLOCK (B = 1 when N > _MI_BLOCK), in two flat buffers of
+    B * N: memory is O(B N + N (d + k)). A strip's part right of its square
+    stands for the mirrored part below it as well (_mirrored), so it counts
+    twice in the sums. A batch of N <= 512 rows is two strips of ceil(N / 2)
+    rows, 3/4 of the N * N entries; the strip count moves only the sums'
+    last bits against one whole-matrix strip. Right-hand
     lifted rows are held (d + 2) x N, C-contiguous; of the input batch's
     only they are kept, and a strip's left-hand rows are rebuilt from them
     exactly, as they hold -2x. work, when given, is mi_workspace's pair of

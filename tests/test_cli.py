@@ -483,6 +483,26 @@ def test_score_without_features_ignores_text_label(runner, trained_checkpoint,
     assert json.loads((tmp_path / "t.report.json").read_text())["n_samples"] == 380
 
 
+@pytest.mark.parametrize("command", ["score", "eval"])
+def test_scoring_a_selection_of_the_wrong_width_exits_2_before_a_row_is_parsed(
+        runner, trained_checkpoint, synth_csv, tmp_path, monkeypatch, command):
+    # the selection's width is known from the header alone
+    two = tmp_path / "two.json"
+    two.write_text(json.dumps({"columns": ["f0", "f1"]}))
+
+    def parse(*args):
+        raise AssertionError("a row was parsed")
+
+    monkeypatch.setattr(data_mod, "_parse_lines", parse)
+    labels = ["--labels", "label"] if command == "eval" else []
+    result = runner.invoke(main, [
+        command, "--model", str(trained_checkpoint), "--data", str(synth_csv),
+        "--features", str(two), *labels, "--out", str(tmp_path / "s")])
+    assert result.exit_code == 2, result.output
+    assert result.output == ("error: the model takes 4 features, the selected "
+                             "columns are 2: ['f0', 'f1']\n")
+
+
 @pytest.mark.parametrize("command, flag, content, code", [
     ("train", "--config", '{"epoch": 2}', 2),
     ("train", "--config", '{"weights": {"delta": 1.0}}', 2),

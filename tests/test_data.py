@@ -2,6 +2,7 @@ import csv
 import os
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -321,6 +322,31 @@ def test_load_csv_parses_a_clean_chunk_in_one_numpy_call(tmp_path):
     with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
             data.CsvChunks(path, "label", columns) as source:
         assert [features.flags.owndata for features in source.features] == [False] * 3
+
+
+def test_csv_chunks_lets_go_of_a_chunk_before_it_parses_the_next(tmp_path):
+    # each chunk's features are a view of its records: once the caller lets
+    # go of them, nothing of the reader holds the records while the next
+    # chunk is parsed
+    path = tmp_path / "flows.csv"
+    lines = _flow_lines(np.random.default_rng(12), 600, 5)
+    _write_flows(path, 5, lines)
+    alive, previous = [], []
+    loadtxt = data._loadtxt
+
+    def spied(lines, record):
+        alive.append([ref() is not None for ref in previous])
+        records = loadtxt(lines, record)
+        previous[:] = [weakref.ref(records)]
+        return records
+
+    chunk_bytes = sum(map(len, lines[:200])) - 1  # readlines stops past the hint
+    with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(data, "_loadtxt", spied), \
+            data.CsvChunks(path, "label") as source:
+        for features in source.features:
+            del features
+    assert alive == [[], [False], [False]]
 
 
 def test_load_csv_short_rows_and_text_cells_take_two_numpy_calls(tmp_path):

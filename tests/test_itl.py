@@ -177,13 +177,16 @@ def test_mi_row_blocks_match_whole_batch(monkeypatch, n, mode):
     x = rng.uniform(size=(n, 5))
     z = rng.normal(size=(n, 3)) * 0.5
     xhat = ndmath.gaussian_gram(x, sigma) / n
-    # at the default block size every batch here is one block. The batch
-    # route builds N^2 (xhat * xhat) as the kernel at sigma / sqrt(2), the
-    # given-Gram route squares xhat: they agree to the last bits
+    # the reference is the whole batch as one strip. The batch route builds
+    # N^2 (xhat * xhat) as the kernel at sigma / sqrt(2), the given-Gram
+    # route squares xhat: they agree to the last bits
+    default = itl._block_rows(n)
+    monkeypatch.setattr(itl, "_block_rows", lambda m: m)
     ref = itl.matrix_mi_with_latent_grad(None, z, sigma, mode=mode, x=x)
     scale = np.max(np.abs(ref[1]))
-    for rows in (1, n // 3 + 1, n):  # one row, uneven blocks, the whole batch
-        monkeypatch.setattr(itl, "_MI_BLOCK", rows * n)
+    # one row, uneven strips, the default strips, the whole batch
+    for rows in (1, n // 3 + 1, default, n):
+        monkeypatch.setattr(itl, "_block_rows", lambda m, rows=rows: rows)
         for given, work in ((xhat, None), (None, None), (None, itl.mi_workspace([n]))):
             mi, grad, comps = itl.matrix_mi_with_latent_grad(
                 given, z, sigma, mode=mode, x=x, work=work)
@@ -193,6 +196,21 @@ def test_mi_row_blocks_match_whole_batch(monkeypatch, n, mode):
             assert abs(mi - ref[0]) <= 1e-12 * max(1.0, abs(ref[0]))
             assert comps == pytest.approx(ref[2], rel=1e-12, abs=1e-12)
             assert np.max(np.abs(grad - ref[1])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 362, 363, 1011, 1024])
+def test_every_batch_of_two_or_more_rows_is_at_least_two_strips(n):
+    rows = itl._block_rows(n)
+    assert rows < n and rows * n <= itl._MI_BLOCK
+    if n <= 512:  # half the batch, rounded up, fits one strip buffer
+        assert rows == (n + 1) // 2
+    else:  # as many rows as fit: batches of 1024 and 1011 keep 128 and 129
+        assert rows == itl._MI_BLOCK // n
+
+
+def test_mi_workspace_holds_half_a_batch_of_256():
+    gram, latent = itl.mi_workspace([256])
+    assert gram.size == latent.size == 128 * 256
 
 
 def _mi_reference(xhat, z, sigma, mode):
@@ -239,7 +257,7 @@ def test_mi_matches_the_squared_kernel_reference(monkeypatch, n, sigma, mode):
     ref_mi, ref_grad, ref_comps = _mi_reference(xhat, z, sigma, mode)
     scale = np.max(np.abs(ref_grad))
     for rows in (n, n // 4 + 1):
-        monkeypatch.setattr(itl, "_MI_BLOCK", rows * n)
+        monkeypatch.setattr(itl, "_block_rows", lambda m, rows=rows: rows)
         for given in (xhat, None):
             mi, grad, comps = itl.matrix_mi_with_latent_grad(given, z, sigma, mode=mode, x=x)
             assert abs(mi - ref_mi) <= 1e-12 * abs(ref_mi)
