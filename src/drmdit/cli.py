@@ -18,19 +18,13 @@ import numpy as np
 
 from . import data as data_mod
 from . import detect, train as train_mod
-from .errors import (DataError, DegeneracyError, ParameterError, TrainingError)
-
-EXIT_CODES = {
-    ParameterError: 2,
-    DataError: 3,
-    DegeneracyError: 4,
-    TrainingError: 4,
-}
+from .errors import DrmditError, ParameterError
 
 
 def _exit_codes(command):
     """The single funnel to exit codes: an exception ends command with
-    "error: ..." and its EXIT_CODES code, or 1 for any other exception.
+    "error: ..." and, for a DrmditError, its class's exit_code, or 1 for any
+    other exception.
 
     command runs with numpy's floating-point errors ignored, so a warning
     filter that turns RuntimeWarnings into exceptions cannot change its
@@ -43,8 +37,7 @@ def _exit_codes(command):
                 return command(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001
             click.echo(f"error: {exc}", err=True)
-            sys.exit(next((code for klass, code in EXIT_CODES.items()
-                           if isinstance(exc, klass)), 1))
+            sys.exit(exc.exit_code if isinstance(exc, DrmditError) else 1)
     return run
 
 

@@ -105,16 +105,20 @@ def load_csv(path, label_column=None, columns=None,
     The file is read in chunks of lines (CsvChunks). One np.loadtxt call
     parses a chunk, with a record dtype that types every column (_record),
     so numpy itself rejects a line with another field count. When it
-    rejects the chunk, or skips a blank line, the lines with the header's
-    field count and no letter that no float literal holds inside a selected
-    field go to one more np.loadtxt call and the others to the per-row rule
-    (_row_values); all go to the rule when numpy rejects that call. From the
-    first chunk holding a quote (a field may span lines) or a control
-    character numpy reads differently from float(), the rest of the file
-    goes through csv.reader and the per-row rule, in batches of _RULE_ROWS
-    rows. Kept rows are copied into one features buffer, sized from the
-    file size and the characters per line read so far, grown when that
-    falls short and cut to the rows kept at the end (_resize).
+    rejects the chunk, or skips a blank line, one more call reads the
+    non-blank lines in order, each line of another field count, or with a
+    letter no float literal holds inside a selected field, swapped for a
+    line of NaN fields. The per-row rule (_row_values) reads those lines,
+    or all of them when numpy rejects that call, and its kept rows replace
+    the placeholders. A selection of a column twice or of the label as a
+    feature (no block of float columns numpy can view) is read by
+    csv.reader and the slower per-row rule, in batches of _RULE_ROWS rows,
+    from the first chunk on; so is the rest of the file from the first
+    chunk holding a quote (a field may span lines) or a control character
+    numpy reads differently from float(). Kept rows are copied into one
+    features buffer, sized from the file size and the characters per line
+    read so far, grown when that falls short and cut to the rows kept at
+    the end (_resize).
 
     Returns (FeatureMatrix, dropped_count).
     """
@@ -157,8 +161,8 @@ class _Layout(typing.NamedTuple):
     feat_idx: list
     label_idx: int | None
     normal: frozenset
-    record: np.dtype  # of one row for np.loadtxt: see _record
-    block: bool  # the record's float block is the selection: view it
+    record: np.dtype | None  # of one row for np.loadtxt: see _record
+    placeholder: str  # a line of NaN fields: numpy reads it, _kept drops it
 
 
 @contextlib.contextmanager
@@ -237,7 +241,7 @@ class CsvChunks(FeatureMatrix):
         fh, layout = self._fh, self._layout
         for chunk in iter(lambda: fh.readlines(_CHUNK_BYTES), []):
             text = "".join(chunk)
-            if any(c in text for c in _LINE_SPLIT_UNSAFE):
+            if layout.record is None or any(c in text for c in _LINE_SPLIT_UNSAFE):
                 lines = self._counted(itertools.chain(chunk, fh))
                 del chunk, text  # the chain lets go of each line it reads
                 yield from _rule_rows(csv.reader(lines), layout)
@@ -282,7 +286,8 @@ def _header(fh, path, label_column, columns, normal_values):
     feat_idx = [header.index(c) for c in feature_names]
     label_idx = header.index(label_column) if label_column else None
     layout = _Layout(len(header) - 1, feat_idx, label_idx, frozenset(normal_values),
-                     *_record(len(header), feat_idx, label_idx))
+                     _record(len(header), feat_idx, label_idx),
+                     ",".join(["nan"] * len(header)) + "\n")
     return layout, feature_names
 
 
@@ -334,47 +339,40 @@ def _parse_lines(lines, text, layout):
 
 
 def _parse_irregular(lines, text, layout):
-    """_parse_lines for a chunk numpy rejects or that holds a blank line.
-    Lines with the header's comma count and no _suspects letter go to one
-    more np.loadtxt call, whose finite rows are kept as a clean chunk's
-    are (_kept); the other non-blank lines go through csv.reader and the
-    per-row rule, and so does every non-blank line when numpy rejects that
-    call too (a "fan" cell, "1_000", a non-ASCII digit). Only when the rule
-    keeps a row (a long row, say) are its rows and numpy's copied into new
-    arrays, in line order."""
+    """_parse_lines for a chunk numpy rejects or that holds a blank line:
+    one more np.loadtxt call reads its non-blank lines in order, each line
+    of another comma count or with a _suspects letter swapped for
+    layout.placeholder. The per-row rule reads those lines, or all of them
+    when numpy rejects that call too (a "fan" cell, "1_000", a non-ASCII
+    digit), and writes the rows it keeps over their placeholders."""
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, itertools.repeat(",")), np.intp, n)
-    blank = np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
-    parsed = (commas == layout.n_commas) & ~blank & ~_suspects(lines, text, layout)
+    rule = (commas != layout.n_commas) | _suspects(lines, text, layout)
+    filled = ~np.fromiter(map(_BLANK_LINES.__contains__, lines), bool, n)
+    lines, rule = list(itertools.compress(lines, filled.tolist())), rule[filled]
     fields = None
-    if parsed.any():
-        fields = _numpy_fields(list(itertools.compress(lines, parsed.tolist())), layout)
+    if lines:  # np.loadtxt warns on a batch of no lines
+        fields = _numpy_fields([layout.placeholder if r else line
+                                for line, r in zip(lines, rule.tolist())], layout)
     if fields is None:
-        parsed[:] = False
-        fields = np.empty((0, len(layout.feat_idx))), np.empty(0, dtype=np.int64)
-    keep = np.isfinite(fields[0]).all(axis=1)
-    values, anomalous, dropped = _kept(*fields, keep)
-    rule = np.flatnonzero(~blank & ~parsed)
+        values, anomalous, taken = _rule_kept(csv.reader(lines), layout)
+        return values, anomalous, len(lines) - taken.size
+    values, anomalous = fields
+    at = np.flatnonzero(rule)
     rule_values, rule_anomalous, taken = _rule_kept(
-        csv.reader(map(lines.__getitem__, rule.tolist())), layout)
-    dropped += rule.size - taken.size
-    if taken.size:  # each rule row goes before the first numpy row past its line
-        at = np.searchsorted(np.flatnonzero(parsed)[keep], rule[taken])
-        values = np.insert(values, at, rule_values, axis=0)
-        anomalous = np.insert(anomalous, at, rule_anomalous)
-    return values, anomalous, dropped
+        csv.reader(map(lines.__getitem__, at.tolist())), layout)
+    values[at[taken]], anomalous[at[taken]] = rule_values, rule_anomalous
+    return _kept(values, anomalous)
 
 
-def _kept(values, anomalous, keep=None):
+def _kept(values, anomalous):
     """(values, anomalous, dropped): the rows of values and anomalous whose
-    values are all finite (the rows of keep, when given: that mask), and
-    the count of the other rows. The kept values move to the front of
-    values in place (_to_front), so a dirty chunk's rows stay a view of its
-    records, as a clean chunk's are."""
-    if keep is None:
-        keep = np.isfinite(values).all(axis=1)
+    values are all finite, and the count of the other rows. The kept values
+    move to the front of values in place (_to_front), so a dirty chunk's
+    rows stay a view of its records, as a clean chunk's are."""
+    keep = np.isfinite(values).all(axis=1)
     kept = int(np.count_nonzero(keep))
-    if kept < keep.size:  # values are the caller's new array or records
+    if kept < keep.size:  # values are a view of the chunk's records
         values, anomalous = _to_front(values, keep), anomalous[keep]
     return values, anomalous, keep.size - kept
 
@@ -426,32 +424,16 @@ def _loadtxt(lines, record):
 
 def _fields(records, layout):
     """(features, is_anomaly) of an array of layout.record. The features are
-    a view of the record's float block when the selection is that block;
-    numpy refuses ndarray.view on a dtype holding objects, so as_strided
-    makes it."""
+    a view of the record's float block; numpy refuses ndarray.view on a
+    dtype holding objects, so as_strided makes it."""
     n = records.shape[0]
     anomalous = np.zeros(n, dtype=np.int64)
     if layout.label_idx is not None:
         labels = records[_field(layout.label_idx)]
         anomalous[~np.fromiter(map(layout.normal.__contains__, map(str.strip, labels)),
                                bool, n)] = 1
-    d = len(layout.feat_idx)
-    if layout.block:
-        return as_strided(records[_field(layout.feat_idx[0])], shape=(n, d),
-                          strides=(records.itemsize, 8)), anomalous
-    values = np.empty((n, d))
-    for j, i in enumerate(layout.feat_idx):
-        # a selected label column: float() of its text, NaN where that fails
-        values[:, j] = (np.fromiter(map(_float_or_nan, labels), np.float64, n)
-                        if i == layout.label_idx else records[_field(i)])
-    return values, anomalous
-
-
-def _float_or_nan(text):
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+    return as_strided(records[_field(layout.feat_idx[0])], shape=(n, len(layout.feat_idx)),
+                      strides=(records.itemsize, 8)), anomalous
 
 
 def _field(column):
@@ -460,14 +442,16 @@ def _field(column):
 
 def _record(n_columns, feat_idx, label_idx):
     """The np.loadtxt dtype of a row: one field per column, so numpy rejects
-    a line with another field count. The selected columns other than the
-    label are float64 and make one block at the front, each column once,
-    in feat_idx order; the label is a str object; every other column is a
-    U1 field whose content is ignored, as the per-row rule ignores it.
-    Returns (the dtype, whether the block is the selection)."""
-    floats = list(dict.fromkeys(i for i in feat_idx if i != label_idx))
-    offsets, formats = {i: 8 * k for k, i in enumerate(floats)}, {}
-    end = 8 * len(floats)
+    a line with another field count. The selected columns are float64 and
+    make one block at the front, in feat_idx order; the label is a str
+    object; every other column is a U1 field whose content is ignored, as
+    the per-row rule ignores it. None when that block cannot be the
+    selection (a column selected twice, the label selected as a feature,
+    no column): the per-row rule then reads every row."""
+    if not feat_idx or label_idx in feat_idx or len(set(feat_idx)) < len(feat_idx):
+        return None
+    offsets, formats = {i: 8 * k for k, i in enumerate(feat_idx)}, {}
+    end = 8 * len(feat_idx)
     if label_idx is not None:
         offsets[label_idx], formats[label_idx] = end, object
         end += 8
@@ -476,13 +460,12 @@ def _record(n_columns, feat_idx, label_idx):
             offsets[i], formats[i] = end, "U1"
             end += 4
     columns = range(n_columns)
-    record = np.dtype({
+    return np.dtype({
         "names": [_field(i) for i in columns],
         "formats": [formats.get(i, np.float64) for i in columns],
         "offsets": [offsets[i] for i in columns],
         "itemsize": -(-end // 8) * 8,  # object pointers stay aligned
     })
-    return record, bool(feat_idx) and floats == feat_idx
 
 
 def save_csv(data: FeatureMatrix, path, label_column="label"):

@@ -101,9 +101,7 @@ def gaussian_gram(samples, sigma):
     """
     sigma = _check_sigma(sigma)
     x = _kernel_input(samples, "samples")
-    lhs, rhs = lifted_rows(x, x)
-    g = lhs @ rhs.T
-    np.maximum(g, 0.0, out=g)
+    g = pairwise_sq_dists(x, x)
     g.flat[::g.shape[1] + 1] = 0.0
     g *= -0.5 / (sigma * sigma)
     return np.exp(g, out=g)

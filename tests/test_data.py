@@ -231,6 +231,22 @@ def test_load_csv_dirty_fixture_matches_row_reference():
     assert got[0].shape[1] == 4 and got[3] == expected[3] > 0
 
 
+@pytest.mark.parametrize("columns", [["f0", "f1", "f2", "f3", "f0"], ["f0", "label", "f2"]])
+def test_load_csv_dirty_fixture_selections_numpy_cannot_view_match_row_reference(columns):
+    # a column selected twice, the label selected as a feature: no block of
+    # the record is the selection, so the per-row rule reads every row from
+    # the first chunk on
+    path = os.path.join(os.path.dirname(__file__), "data", "dirty_flows.csv")
+    expected = _outcome(_reference_load_csv, path, label_column="label", columns=columns)
+    for chunk_bytes in (1, 64, 1 << 20):
+        got, calls = _counted_load_csv(path, chunk_bytes, label_column="label",
+                                       columns=columns)
+        assert np.array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:]
+        assert calls["loadtxt"] == calls["chunks"] == 0
+    assert got[0].shape[1] == len(columns) and got[3] == expected[3] > 0
+
+
 def _flow_lines(rng, n, d, text_every=0, digits=None):
     """n CSV lines of d features and a BENIGN/DoS label; every text_every-th
     line has a "tcp" cell in a feature column."""
@@ -386,6 +402,40 @@ def test_load_csv_rule_rows_rejoin_numpy_rows_in_file_order(tmp_path):
         assert row.tolist() == [float(v) for v in lines[line].split(",")[:5]]
     assert [got[1][kept.index(line)] for line in (4, 10)] == [1, 0]  # DoS, BENIGN
     assert calls == {"loadtxt": 2, "suspects": 1, "row": 4, "chunks": 1}
+
+
+def test_load_csv_rule_row_fills_its_placeholder_without_copying_the_chunk(tmp_path):
+    # one 2800-line chunk at d=41 holding a long row the per-row rule keeps
+    # and a text cell: the rule's row is written over its placeholder in
+    # numpy's rows, in line order (was: np.insert copied every row, a parse
+    # peak of 2.27 times the kept rows)
+    n, d = 2800, 41
+    lines = _flow_lines(np.random.default_rng(16), n, d)
+    lines[900] = lines[900].replace("\n", ",x\n")
+    cells = lines[1900].split(",")
+    cells[7] = "tcp"
+    lines[1900] = ",".join(cells)
+    path = tmp_path / "flows.csv"
+    _write_flows(path, d, lines)
+    peaks = []
+    parse = data._parse_lines
+
+    def measured(*args):
+        tracemalloc.start()
+        try:
+            rows = parse(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return rows
+
+    with mock.patch.object(data, "_CHUNK_BYTES", os.path.getsize(path)), \
+            mock.patch.object(data, "_parse_lines", measured):
+        got = _outcome(data.load_csv, path, label_column="label")
+    expected = _outcome(_reference_load_csv, path, label_column="label")
+    assert np.array_equal(got[0], expected[0])
+    assert got[1:] == expected[1:] and got[3] == 1
+    assert len(peaks) == 1 and peaks[0] < 1.75 * got[0].nbytes
 
 
 @pytest.mark.parametrize("every_line", [False, True])
